@@ -1,21 +1,21 @@
 // Inference-service bench: per-batch latency percentiles (p50/p99) and
-// request throughput for the sharded top-k scorer across its four
-// serving modes — exact fp32 scan, int8 quantized two-phase scan
-// (ServeConfig::quantize), fp16 two-phase scan (ServeConfig::fp16),
-// and IVF approximate retrieval (ServeConfig::exact = false) — across
-// batch sizes and 1 / 2 / hardware threads. Probes gate the exit code:
-// quantized responses must be bit-identical to the exact 1-thread
-// baseline for every worker count; IVF responses must be bit-identical
-// across thread counts, shard grains, and batch packings (and equal the
-// exact scan outright at nprobe >= nlist with fp32 lists); fp16
-// responses must be bit-identical across thread counts and batch
-// packings at the fixed shard grain. Emits machine-readable
-// BENCH_serve.json into the working directory.
+// request throughput for the sharded top-k scorer in its two serving
+// modes — exact fp32 scan and IVF approximate retrieval
+// (ServeConfig::exact = false) — across batch sizes and 1 / 2 /
+// hardware threads. Probes gate the exit code: exact responses must be
+// bit-identical to the 1-thread baseline for every worker count; IVF
+// responses must be bit-identical across thread counts, shard grains,
+// and batch packings (and equal the exact scan outright at nprobe >=
+// nlist with fp32 lists). Emits machine-readable BENCH_serve.json into
+// the working directory.
 //
 // An ANN tier sweeps (nlist, nprobe) and reports recall@k of each
-// point's response lists against the exact scorer's, plus req/s; the
-// headline is the fastest point clearing the 0.95 recall floor and its
-// speedup over the exact scan under the same harness. The embedding
+// point's response lists against the exact scorer's, plus req/s, once
+// with fp32 lists and once with int8 lists (ServeConfig::quantize) at
+// the same points. The headline is the fastest fp32 point clearing the
+// 0.95 recall floor and its speedup over the exact scan under the same
+// harness; the int8 points are the evidence for keeping int8 lists. The
+// embedding
 // tables are rewritten as clustered unit vectors (shared centers +
 // small Gaussian noise) before serving: random-init tables have no
 // neighborhood structure, so ANN recall on them measures noise rather
@@ -31,7 +31,7 @@
 // counts, plus a sustained train-and-serve scenario where snapshots
 // are hot-swapped mid-traffic. Every front-door response is probed
 // bit-identical to the synchronous path against the snapshot that
-// served it; the probe gates the exit code alongside the quantized one.
+// served it; the probe gates the exit code alongside the others.
 //
 // A loopback socket tier then re-runs the closed loop through
 // serve::NetServer: the same producer counts, but each producer is a
@@ -58,10 +58,8 @@
 // Tiers:
 //   BSLREC_FAST=1   tiny catalog, few reps (CI smoke)
 //   BSLREC_SCALE=1  serving-scale: 100k-item catalog, dim 128,
-//                   power-law (zipf) item popularity — the regime where
-//                   the 4x memory-traffic cut of the int8 scan shows up
-//                   as req/s. On a multi-core host quantized should
-//                   beat exact here; single-core it is informational.
+//                   power-law (zipf) item popularity — the shape the
+//                   ROADMAP's per-tier req/s are measured at.
 //   (neither)       mid-size default
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -95,7 +93,7 @@ namespace {
 using namespace bslrec;  // NOLINT: bench-local convenience
 
 struct ServePoint {
-  const char* mode;  // "exact" | "quantized" | "fp16" | "ivf"
+  const char* mode;  // "exact" | "ivf"
   size_t threads;
   size_t batch;
   double p50_ms;
@@ -149,8 +147,6 @@ serve::ServeConfig MakeConfig(uint32_t k, size_t threads, const char* mode) {
   sc.max_k = k;
   sc.cache_rankings = false;  // measure scoring, not cache hits
   sc.runtime.num_threads = threads;
-  if (std::strcmp(mode, "quantized") == 0) sc.quantize = true;
-  if (std::strcmp(mode, "fp16") == 0) sc.fp16 = true;
   if (std::strcmp(mode, "ivf") == 0) sc.exact = false;  // auto nlist, nprobe 8
   return sc;
 }
@@ -352,7 +348,7 @@ int main() {
 
   std::vector<ServePoint> points;
   for (size_t threads : ThreadCounts()) {
-    for (const char* mode : {"exact", "quantized", "fp16", "ivf"}) {
+    for (const char* mode : {"exact", "ivf"}) {
       serve::InferenceService service(data, model,
                                       MakeConfig(k, threads, mode));
       for (size_t batch : batch_sizes) {
@@ -392,66 +388,26 @@ int main() {
     }
   }
 
-  // Quantized-vs-exact throughput at the widest point (hw threads,
-  // largest batch): the headline the scale tier exists to measure.
-  double speedup_at_hw = 0.0;
-  {
-    double exact_rps = 0.0, quant_rps = 0.0;
-    for (const ServePoint& p : points) {
-      if (p.threads == ThreadCounts().back() &&
-          p.batch == batch_sizes.back()) {
-        if (std::strcmp(p.mode, "exact") == 0) exact_rps = p.requests_per_sec;
-        if (std::strcmp(p.mode, "quantized") == 0) {
-          quant_rps = p.requests_per_sec;
-        }
-      }
-    }
-    if (exact_rps > 0.0) speedup_at_hw = quant_rps / exact_rps;
-    std::printf("quantized vs exact at hw threads, batch %zu: %.2fx\n",
-                batch_sizes.back(), speedup_at_hw);
-    if (runtime::ResolveNumThreads(0) > 1) {
-      std::printf("quantized strictly faster at hw threads: %s\n",
-                  speedup_at_hw > 1.0 ? "yes" : "NO");
-    } else {
-      std::printf(
-          "single hardware core: phase-1 bandwidth win is muted "
-          "(informational only)\n");
-    }
-  }
-
   // ---- bit-identity probe (gates the exit code) ----
-  // Every mode at every worker count must reproduce the exact scorer's
-  // 1-thread responses bitwise — the quantized scan is an acceleration
-  // structure, never a different ranking function.
+  // The exact scan at every worker count must reproduce its 1-thread
+  // responses bitwise.
   bool identical = true;
-  serve::CatalogScorer::Stats quant_stats;
   {
     const std::vector<serve::TopKRequest> probe =
         MakeRequests(scale ? 32 : 64, data.num_users(), k, 97);
     serve::InferenceService baseline(data, model, MakeConfig(k, 1, "exact"));
     const auto want = baseline.HandleBatch(probe);
     for (size_t threads : ThreadCounts()) {
-      for (const char* mode : {"exact", "quantized"}) {
-        serve::InferenceService service(data, model,
-                                        MakeConfig(k, threads, mode));
-        const auto got = service.HandleBatch(probe);
-        for (size_t r = 0; r < probe.size(); ++r) {
-          identical = identical && got[r].items == want[r].items &&
-                      got[r].scores == want[r].scores;
-        }
-        if (std::strcmp(mode, "quantized") == 0) {
-          const serve::CatalogScorer::Stats st = service.scorer().stats();
-          quant_stats.shards_scanned += st.shards_scanned;
-          quant_stats.shards_fallback += st.shards_fallback;
-        }
+      serve::InferenceService service(data, model,
+                                      MakeConfig(k, threads, "exact"));
+      const auto got = service.HandleBatch(probe);
+      for (size_t r = 0; r < probe.size(); ++r) {
+        identical = identical && SameResponse(got[r], want[r]);
       }
     }
   }
-  std::printf("quantized/exact bit-identical across thread counts: %s\n",
+  std::printf("exact bit-identical across thread counts: %s\n",
               identical ? "yes" : "NO — BUG");
-  std::printf("quantized probe scan: %llu shard tasks, %llu exact fallbacks\n",
-              static_cast<unsigned long long>(quant_stats.shards_scanned),
-              static_cast<unsigned long long>(quant_stats.shards_fallback));
 
   // ---- ANN determinism probes (gate the exit code) ----
   // IVF responses are a pure function of (snapshot, request): the
@@ -501,38 +457,17 @@ int main() {
               "full-probe == exact: %s\n",
               ann_identical ? "yes" : "NO — BUG");
 
-  // fp16 candidate sets depend on the shard grain (topk_scorer.h), so
-  // the grain stays fixed here: at a fixed grain the fp16 scan must be
-  // bit-identical across thread counts and batch packings.
-  bool fp16_identical = true;
-  {
-    const std::vector<serve::TopKRequest> probe =
-        MakeRequests(scale ? 32 : 64, data.num_users(), k, 137);
-    serve::InferenceService baseline(data, model, MakeConfig(k, 1, "fp16"));
-    const auto want = baseline.HandleBatch(probe);
-    for (size_t threads : ThreadCounts()) {
-      serve::InferenceService service(data, model,
-                                      MakeConfig(k, threads, "fp16"));
-      const auto whole = service.HandleBatch(probe);
-      for (size_t r = 0; r < probe.size(); ++r) {
-        fp16_identical = fp16_identical && SameResponse(whole[r], want[r]);
-        fp16_identical = fp16_identical &&
-                         SameResponse(service.Handle(probe[r]), want[r]);
-      }
-    }
-  }
-  std::printf("fp16 bit-identical across threads/batching: %s\n",
-              fp16_identical ? "yes" : "NO — BUG");
-
   // ---- ANN tier: (nlist, nprobe) sweep, recall@k vs exact ----
   // Each point serves the same request stream as an exact reference run
   // under the same harness (hw threads, fixed batch); recall@k is the
-  // mean fraction of the exact top-k reproduced per response. The
-  // headline is the fastest point clearing the 0.95 recall floor (the
-  // CI gate); if nothing clears it — which would itself be a finding —
-  // the highest-recall point is reported so the floor check fails
+  // mean fraction of the exact top-k reproduced per response. Every
+  // point runs with fp32 lists and again with int8 lists. The headline
+  // is the fastest fp32 point clearing the 0.95 recall floor (the CI
+  // gate); if nothing clears it — which would itself be a finding — the
+  // highest-recall fp32 point is reported so the floor check fails
   // loudly rather than on a missing key.
-  std::vector<AnnPoint> ann_points;
+  std::vector<AnnPoint> ann_points;       // fp32 lists
+  std::vector<AnnPoint> ann_int8_points;  // int8 lists, same points
   double ann_exact_rps = 0.0;
   double ann_recall = 0.0;
   double ann_speedup = 0.0;
@@ -590,45 +525,48 @@ int main() {
     for (uint32_t nlist : nlists) {
       for (uint32_t nprobe : {1u, 2u, 4u, 8u, 16u}) {
         if (nprobe > nlist) continue;
-        serve::ServeConfig sc = MakeConfig(k, hw, "ivf");
-        sc.ivf.nlist = nlist;
-        sc.nprobe = nprobe;
-        serve::InferenceService service(data, model, sc);
-        std::vector<serve::TopKResponse> resps;
-        AnnPoint p;
-        p.nlist = nlist;
-        p.nprobe = nprobe;
-        p.requests_per_sec = run_stream(service, resps, p.p50_ms, p.p99_ms);
-        double recall_sum = 0.0;
-        size_t counted = 0;
-        for (size_t r = 0; r < reqs.size(); ++r) {
-          std::vector<uint32_t> truth = exact_resps[r].items;
-          if (truth.empty()) continue;
-          std::sort(truth.begin(), truth.end());
-          size_t hits = 0;
-          for (const uint32_t item : resps[r].items) {
-            hits += std::binary_search(truth.begin(), truth.end(), item)
-                        ? 1
-                        : 0;
+        for (const bool int8_lists : {false, true}) {
+          serve::ServeConfig sc = MakeConfig(k, hw, "ivf");
+          sc.ivf.nlist = nlist;
+          sc.nprobe = nprobe;
+          sc.quantize = int8_lists;
+          serve::InferenceService service(data, model, sc);
+          std::vector<serve::TopKResponse> resps;
+          AnnPoint p;
+          p.nlist = nlist;
+          p.nprobe = nprobe;
+          p.requests_per_sec = run_stream(service, resps, p.p50_ms, p.p99_ms);
+          double recall_sum = 0.0;
+          size_t counted = 0;
+          for (size_t r = 0; r < reqs.size(); ++r) {
+            std::vector<uint32_t> truth = exact_resps[r].items;
+            if (truth.empty()) continue;
+            std::sort(truth.begin(), truth.end());
+            size_t hits = 0;
+            for (const uint32_t item : resps[r].items) {
+              hits += std::binary_search(truth.begin(), truth.end(), item)
+                          ? 1
+                          : 0;
+            }
+            recall_sum += static_cast<double>(hits) /
+                          static_cast<double>(truth.size());
+            ++counted;
           }
-          recall_sum += static_cast<double>(hits) /
-                        static_cast<double>(truth.size());
-          ++counted;
+          p.recall_at_k =
+              counted > 0 ? recall_sum / static_cast<double>(counted) : 1.0;
+          const serve::CatalogScorer::Stats st = service.scorer().stats();
+          ivf_stats.ivf_queries += st.ivf_queries;
+          ivf_stats.ivf_lists += st.ivf_lists;
+          ivf_stats.ivf_candidates += st.ivf_candidates;
+          ivf_stats.ivf_reranked += st.ivf_reranked;
+          (int8_lists ? ann_int8_points : ann_points).push_back(p);
+          std::printf(
+              "ivf %s nlist=%-4u nprobe=%-3u  recall@%u %.4f  p50 %.3f ms  "
+              "p99 %.3f ms  %.0f req/s (%.2fx exact)\n",
+              int8_lists ? "int8" : "fp32", p.nlist, p.nprobe, k,
+              p.recall_at_k, p.p50_ms, p.p99_ms, p.requests_per_sec,
+              ann_exact_rps > 0.0 ? p.requests_per_sec / ann_exact_rps : 0.0);
         }
-        p.recall_at_k =
-            counted > 0 ? recall_sum / static_cast<double>(counted) : 1.0;
-        const serve::CatalogScorer::Stats st = service.scorer().stats();
-        ivf_stats.ivf_queries += st.ivf_queries;
-        ivf_stats.ivf_lists += st.ivf_lists;
-        ivf_stats.ivf_candidates += st.ivf_candidates;
-        ivf_stats.ivf_reranked += st.ivf_reranked;
-        ann_points.push_back(p);
-        std::printf(
-            "ivf nlist=%-4u nprobe=%-3u  recall@%u %.4f  p50 %.3f ms  "
-            "p99 %.3f ms  %.0f req/s (%.2fx exact)\n",
-            p.nlist, p.nprobe, k, p.recall_at_k, p.p50_ms, p.p99_ms,
-            p.requests_per_sec,
-            ann_exact_rps > 0.0 ? p.requests_per_sec / ann_exact_rps : 0.0);
       }
     }
     const double kRecallFloor = 0.95;
@@ -1088,10 +1026,9 @@ int main() {
               ol_no_expired_fulfilled ? "yes" : "NO — BUG",
               ol_identical ? "yes" : "NO — BUG");
 
-  identical = identical && ann_identical && fp16_identical &&
-              frontdoor_identical && net_identical && trainserve_matched &&
-              ol_accounting && ol_depth_ok && ol_no_expired_fulfilled &&
-              ol_identical;
+  identical = identical && ann_identical && frontdoor_identical &&
+              net_identical && trainserve_matched && ol_accounting &&
+              ol_depth_ok && ol_no_expired_fulfilled && ol_identical;
 
   // ---- machine-readable output ----
   FILE* out = bench::BeginBenchJson("BENCH_serve.json");
@@ -1111,26 +1048,26 @@ int main() {
                  p.requests_per_sec, i + 1 < points.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"quantized_speedup_at_hw_threads\": %.3f,\n",
-               speedup_at_hw);
-  std::fprintf(out,
-               "  \"quantized_probe_scan\": {\"shard_tasks\": %llu, "
-               "\"exact_fallbacks\": %llu},\n",
-               static_cast<unsigned long long>(quant_stats.shards_scanned),
-               static_cast<unsigned long long>(quant_stats.shards_fallback));
   std::fprintf(out,
                "  \"ann\": {\"k\": %u, \"exact_requests_per_sec\": %.1f, "
                "\"points\": [\n",
                k, ann_exact_rps);
-  for (size_t i = 0; i < ann_points.size(); ++i) {
-    const AnnPoint& p = ann_points[i];
-    std::fprintf(out,
-                 "    {\"nlist\": %u, \"nprobe\": %u, "
-                 "\"recall_at_k\": %.4f, \"p50_ms\": %.4f, "
-                 "\"p99_ms\": %.4f, \"requests_per_sec\": %.1f}%s\n",
-                 p.nlist, p.nprobe, p.recall_at_k, p.p50_ms, p.p99_ms,
-                 p.requests_per_sec, i + 1 < ann_points.size() ? "," : "");
-  }
+  const auto write_ann_points = [&](const std::vector<AnnPoint>& pts) {
+    for (size_t i = 0; i < pts.size(); ++i) {
+      const AnnPoint& p = pts[i];
+      std::fprintf(out,
+                   "    {\"nlist\": %u, \"nprobe\": %u, "
+                   "\"recall_at_k\": %.4f, \"p50_ms\": %.4f, "
+                   "\"p99_ms\": %.4f, \"requests_per_sec\": %.1f}%s\n",
+                   p.nlist, p.nprobe, p.recall_at_k, p.p50_ms, p.p99_ms,
+                   p.requests_per_sec, i + 1 < pts.size() ? "," : "");
+    }
+  };
+  write_ann_points(ann_points);
+  // The int8-list points sit before the headline keys: bench_summary
+  // reads the headline recall as the section's last "recall_at_k".
+  std::fprintf(out, "  ], \"int8_points\": [\n");
+  write_ann_points(ann_int8_points);
   std::fprintf(out,
                "  ], \"recall_at_k\": %.4f, \"speedup_vs_exact\": %.3f, "
                "\"headline_nlist\": %u, \"headline_nprobe\": %u,\n",
@@ -1144,10 +1081,8 @@ int main() {
                static_cast<unsigned long long>(ivf_stats.ivf_candidates),
                static_cast<unsigned long long>(ivf_stats.ivf_reranked));
   std::fprintf(out,
-               "  \"determinism\": {\"ivf_bit_identical\": %s, "
-               "\"fp16_bit_identical\": %s}},\n",
-               ann_identical ? "true" : "false",
-               fp16_identical ? "true" : "false");
+               "  \"determinism\": {\"ivf_bit_identical\": %s}},\n",
+               ann_identical ? "true" : "false");
   std::fprintf(out,
                "  \"frontend\": {\"max_batch\": %zu, "
                "\"flush_deadline_us\": %u, \"points\": [\n",

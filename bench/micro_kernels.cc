@@ -265,10 +265,10 @@ void BM_DotBatchPerRowLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_DotBatchPerRowLoop)->Arg(16)->Arg(64)->Arg(256);
 
-// ---- int8 catalog-scan kernels (quantized two-phase scorer) ----
+// ---- int8 list-scan kernels (IVF with int8 lists) ----
 // SIMD dispatch vs the always-compiled scalar reference (vec::ref), and
-// the batched int8 scan vs the fp32 DotBatch it displaces in phase 1 —
-// the latter pair is the memory-traffic argument in numbers.
+// the batched int8 scan vs the fp32 DotBatch it replaces on a probed
+// list — the latter pair is the memory-traffic argument in numbers.
 
 std::vector<int8_t> QuantizedVec(size_t n, uint64_t seed) {
   Rng rng(seed);
@@ -299,7 +299,7 @@ void BM_DotI8Ref(benchmark::State& state) {
 }
 BENCHMARK(BM_DotI8Ref)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
 
-// One phase-1 shard scan: 64 catalog rows against one quantized query.
+// One list scan: 64 int8 list rows against one quantized query.
 // Compare against BM_DotBatchBlocked at the same dim for the int8 vs
 // fp32 bandwidth story.
 void BM_DotBatchI8(benchmark::State& state) {
@@ -330,8 +330,8 @@ void BM_DotBatchI8Ref(benchmark::State& state) {
 }
 BENCHMARK(BM_DotBatchI8Ref)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
 
-// Row quantization — the snapshot-freeze cost of building the int8
-// table and the per-query cost of encoding q into codes.
+// Row quantization — the index-build cost of the int8 list codes and
+// the per-query cost of encoding q into codes.
 void BM_QuantizeRow(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const auto x = GaussianVec(n, 35);

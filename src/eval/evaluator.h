@@ -29,18 +29,9 @@
 // and because ranking is thread-count invariant, the metrics are
 // bit-identical to a synchronous pass over the same snapshot.
 //
-// The `scoring` options select the ranking kernel per pass:
-//   * default — exact full-catalog scan;
-//   * `quantize` — certified int8 two-phase scan, metrics bit-identical
-//     to exact;
-//   * `fp16` — certification-free fp16 two-phase scan (approximate
-//     candidate sets);
-//   * `exact = false` — ANN through the snapshot's IVF index at
-//     `nprobe` probes: the *approximate evaluation pass*, measuring
-//     exactly the lists ANN serving would return (with nprobe >= nlist
-//     it degenerates to the exact metrics bitwise).
-// Every branch runs serially per user inside the parallel user loop,
-// so all metric variants are bit-identical for any worker count.
+// Every pass ranks by the exact full-catalog scan — the paper's
+// protocol. Approximate serving tiers (IVF) are measured against the
+// exact lists in bench_serve, not through the evaluator.
 #ifndef BSLREC_EVAL_EVALUATOR_H_
 #define BSLREC_EVAL_EVALUATOR_H_
 
@@ -53,7 +44,6 @@
 #include "models/model.h"
 #include "runtime/thread_pool.h"
 #include "serve/model_snapshot.h"
-#include "serve/topk_scorer.h"
 
 namespace bslrec {
 
@@ -69,17 +59,11 @@ class Evaluator {
  public:
   // `data` must outlive the evaluator. The evaluator owns a pool sized
   // from `runtime` (default: one worker per hardware thread).
-  // `scoring` selects the ranking kernel: with `scoring.quantize` every
-  // per-user catalog scan runs through the certified two-phase
-  // quantized path (see topk_scorer.h) — metrics are bit-identical to
-  // the exact scan, only the pass latency changes.
   Evaluator(const Dataset& data, uint32_t k,
-            runtime::RuntimeConfig runtime = {},
-            serve::ScorerOptions scoring = {});
+            runtime::RuntimeConfig runtime = {});
   // Borrows an external pool (e.g. the trainer's) instead of owning
   // one; `pool` must be non-null and outlive the evaluator.
-  Evaluator(const Dataset& data, uint32_t k, runtime::ThreadPool* pool,
-            serve::ScorerOptions scoring = {});
+  Evaluator(const Dataset& data, uint32_t k, runtime::ThreadPool* pool);
 
   uint32_t k() const { return k_; }
 
@@ -114,17 +98,10 @@ class Evaluator {
     Pass(const Evaluator& eval,
          std::shared_ptr<const serve::ModelSnapshot> snapshot);
 
-    struct WorkerScratch {
-      std::vector<float> scores;  // one score per catalog item (exact)
-      serve::ShardScratch qscan;  // quantized / fp16 / ivf buffers
-    };
-
-    // Scores all items for `user` into ws.scores.
-    void ScoreUser(uint32_t user, WorkerScratch& ws);
-    // Top-k ids for one user (train positives masked), through the
-    // evaluator's configured scoring path (exact or quantized).
+    // Top-k ids for one user (train positives masked); `scores` is a
+    // per-worker buffer with one slot per catalog item.
     std::vector<uint32_t> RankUser(uint32_t user, uint32_t k,
-                                   WorkerScratch& ws);
+                                   std::vector<float>& scores);
     // Parallel score+rank of every test user at cutoff k.
     std::vector<std::vector<uint32_t>> ComputeRankings(uint32_t k);
     // Cached ComputeRankings(k()): Evaluate/GroupNdcg/ItemExposure all
@@ -138,7 +115,7 @@ class Evaluator {
     // Normalized tables, frozen once (shared so an in-flight async pass
     // keeps its snapshot alive however long the producer lives).
     std::shared_ptr<const serve::ModelSnapshot> snapshot_;
-    std::vector<WorkerScratch> scratch_;  // one per pool worker
+    std::vector<std::vector<float>> scratch_;  // one per pool worker
     std::vector<std::vector<uint32_t>> rankings_k_;  // per test user
     bool rankings_cached_ = false;
   };
@@ -161,12 +138,8 @@ class Evaluator {
  private:
   friend class Pass;
 
-  std::vector<uint32_t> RankTopK(const std::vector<float>& scores,
-                                 uint32_t user, uint32_t k) const;
-
   const Dataset& data_;
   uint32_t k_;
-  serve::ScorerOptions scoring_;
   std::vector<uint32_t> test_users_;  // users with >= 1 test item
   std::unique_ptr<runtime::ThreadPool> owned_pool_;
   runtime::ThreadPool* pool_;  // owned_pool_.get() or the borrowed pool

@@ -31,9 +31,7 @@ uint32_t AssignRow(const float* row, const float* centroids, uint32_t nlist,
 
 }  // namespace
 
-IvfIndex::IvfIndex(const Matrix& items, const int8_t* codes,
-                   const float* scales, const uint16_t* f16,
-                   runtime::ThreadPool& pool,
+IvfIndex::IvfIndex(const Matrix& items, runtime::ThreadPool& pool,
                    const IvfBuildOptions& options) {
   num_items_ = static_cast<uint32_t>(items.rows());
   dim_ = items.cols();
@@ -156,32 +154,20 @@ IvfIndex::IvfIndex(const Matrix& items, const int8_t* codes,
     list_items_[cursor[assign_all[i]]++] = i;
   }
 
-  // Grouped representation tables in posting order: list visits become
-  // contiguous fused scans. Per-position fills — deterministic.
+  // Grouped fp32 rows and their int8 codes in posting order: list
+  // visits become contiguous fused scans. Per-position fills —
+  // deterministic.
   grouped_f32_.resize(static_cast<size_t>(num_items_) * dim_);
-  if (codes != nullptr) {
-    grouped_codes_.resize(static_cast<size_t>(num_items_) * dim_);
-    grouped_scale_.resize(num_items_);
-  }
-  if (f16 != nullptr) {
-    grouped_f16_.resize(static_cast<size_t>(num_items_) * dim_);
-  }
+  grouped_codes_.resize(static_cast<size_t>(num_items_) * dim_);
+  grouped_scale_.resize(num_items_);
   runtime::ParallelFor(
       pool, 0, num_items_, kIvfGrain,
       [&](size_t lo, size_t hi, size_t /*shard*/, size_t /*worker*/) {
         for (size_t p = lo; p < hi; ++p) {
-          const size_t id = list_items_[p];
-          std::memcpy(grouped_f32_.data() + p * dim_, items.Row(id),
-                      dim_ * sizeof(float));
-          if (codes != nullptr) {
-            std::memcpy(grouped_codes_.data() + p * dim_, codes + id * dim_,
-                        dim_ * sizeof(int8_t));
-            grouped_scale_[p] = scales[id];
-          }
-          if (f16 != nullptr) {
-            std::memcpy(grouped_f16_.data() + p * dim_, f16 + id * dim_,
-                        dim_ * sizeof(uint16_t));
-          }
+          float* row = grouped_f32_.data() + p * dim_;
+          std::memcpy(row, items.Row(list_items_[p]), dim_ * sizeof(float));
+          grouped_scale_[p] =
+              vec::QuantizeRow(row, dim_, grouped_codes_.data() + p * dim_);
         }
       });
 }

@@ -10,12 +10,13 @@
 //     scores all of them with one fused vec::DotBatch), and
 //   * CSR postings: `ListOffset(l)..ListOffset(l+1)` index into a
 //     catalog-length array of item ids, ascending within each list, and
-//   * *grouped* copies of the item representations in posting order —
-//     always the fp32 rows (bitwise equal to the snapshot's ItemVec
-//     rows, so the exact re-rank reads only the index), plus the int8
-//     codes/scales and/or fp16 codes when the snapshot carries those
-//     tables — so visiting a list is a contiguous fused scan, never a
-//     gather.
+//   * *grouped* copies of the item rows in posting order: the fp32 rows
+//     (bitwise equal to the snapshot's ItemVec rows, so the exact
+//     re-rank reads only the index) and their symmetric int8 codes and
+//     per-row scales, quantized from those grouped rows by
+//     vec::QuantizeRow at build time (d + 4 bytes per item, a quarter
+//     of the fp32 copy). Visiting a list is a contiguous fused scan in
+//     either form, never a gather.
 //
 // Determinism: the k-means is a fixed-iteration Lloyd loop with a
 // serial seeded init (math/rng.h), parallelized per the PR 1 contract
@@ -29,9 +30,10 @@
 // order — is argued in topk_scorer.h, where the query path lives.
 //
 // Quality: an IVF probe is approximate — items whose list is not probed
-// are invisible to the query — so, unlike the certified int8 scan, ANN
-// results may diverge from the exact ranking. bench_serve measures the
-// divergence as recall@k-vs-exact across an (nlist, nprobe) sweep.
+// are invisible to the query — so ANN results may diverge from the
+// exact ranking. bench_serve measures the divergence as
+// recall@k-vs-exact across an (nlist, nprobe) sweep, for fp32 and int8
+// lists alike.
 #ifndef BSLREC_SERVE_IVF_INDEX_H_
 #define BSLREC_SERVE_IVF_INDEX_H_
 
@@ -66,12 +68,8 @@ struct IvfBuildOptions {
 class IvfIndex {
  public:
   // Builds the index over `items` (L2-normalized rows — the snapshot's
-  // item table). `codes`/`scales` point at the snapshot's int8 table
-  // (row-major codes, per-row scale) or are null; `f16` likewise for
-  // the fp16 table. Grouped copies are built for whichever tables are
-  // present. `pool` is only used during construction.
-  IvfIndex(const Matrix& items, const int8_t* codes, const float* scales,
-           const uint16_t* f16, runtime::ThreadPool& pool,
+  // item table). `pool` is only used during construction.
+  IvfIndex(const Matrix& items, runtime::ThreadPool& pool,
            const IvfBuildOptions& options);
 
   uint32_t nlist() const { return nlist_; }
@@ -94,16 +92,12 @@ class IvfIndex {
     return grouped_f32_.data() + static_cast<size_t>(p) * dim_;
   }
 
-  bool has_codes() const { return !grouped_scale_.empty(); }
+  // int8 codes of Row(p): Row(p)[j] ~= Codes(p)[j] * Scale(p), exactly
+  // as vec::QuantizeRow(Row(p)) encodes it.
   const int8_t* Codes(uint32_t p) const {
     return grouped_codes_.data() + static_cast<size_t>(p) * dim_;
   }
   float Scale(uint32_t p) const { return grouped_scale_[p]; }
-
-  bool has_f16() const { return !grouped_f16_.empty(); }
-  const uint16_t* F16(uint32_t p) const {
-    return grouped_f16_.data() + static_cast<size_t>(p) * dim_;
-  }
 
  private:
   uint32_t nlist_ = 0;
@@ -113,9 +107,8 @@ class IvfIndex {
   std::vector<uint32_t> list_offsets_; // nlist + 1
   std::vector<uint32_t> list_items_;   // num_items, grouped by list
   std::vector<float> grouped_f32_;     // num_items x dim, posting order
-  std::vector<int8_t> grouped_codes_;  // iff codes given
-  std::vector<float> grouped_scale_;   // iff codes given
-  std::vector<uint16_t> grouped_f16_;  // iff f16 given
+  std::vector<int8_t> grouped_codes_;  // num_items x dim, posting order
+  std::vector<float> grouped_scale_;   // num_items
 };
 
 }  // namespace bslrec::serve

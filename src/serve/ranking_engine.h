@@ -56,16 +56,10 @@ struct ServeConfig {
   uint32_t items_per_shard = CatalogScorer::kDefaultItemsPerShard;
   // Disable to score every request from scratch (benchmarks).
   bool cache_rankings = true;
-  // Build an int8 item table at snapshot time and serve through the
-  // certified two-phase quantized scan (see topk_scorer.h). Responses
-  // are bit-identical to the exact scorer; only latency changes.
+  // ANN only: scan the IVF lists' int8 codes and exact fp32 re-rank
+  // the top k + kDefaultCandidateMargin (see topk_scorer.h). Rejected
+  // when exact.
   bool quantize = false;
-  // Extra phase-1 candidates per shard beyond each request's k.
-  uint32_t candidate_margin = kDefaultCandidateMargin;
-  // Build an fp16 item table at snapshot time and serve through the
-  // certification-free fp16 two-phase scan (mutually exclusive with
-  // quantize). Candidate sets are approximate; returned scores exact.
-  bool fp16 = false;
   // With exact = false, serve through the snapshot's IVF index (built
   // automatically): probe the top-nprobe coarse lists and exact fp32
   // re-rank the gathered candidates. See topk_scorer.h.
@@ -126,7 +120,7 @@ class RankingEngine {
 
   const ModelSnapshot& snapshot() const { return snapshot_; }
   const ServeConfig& config() const { return config_; }
-  // Scan statistics (quantized mode: shards scanned / fallbacks).
+  // Scan statistics (exact shard tasks / IVF probe counters).
   const CatalogScorer& scorer() const { return scorer_; }
 
   TopKResponse Handle(const TopKRequest& request);

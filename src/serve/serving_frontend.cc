@@ -55,41 +55,20 @@ void FailPromise(std::promise<ServedResponse>& promise,
 
 }  // namespace
 
-DegradeMode BrownoutModeFor(const ModelSnapshot& snapshot,
-                            const ServeConfig& serve) {
-  if (snapshot.ivf() != nullptr) return DegradeMode::kIvf;
-  if (snapshot.has_fp16_items() && !serve.fp16) return DegradeMode::kFp16;
-  if (snapshot.has_quantized_items() && !serve.quantize) {
-    return DegradeMode::kQuantized;
-  }
-  return DegradeMode::kNone;
+DegradeMode BrownoutModeFor(const ModelSnapshot& snapshot) {
+  return snapshot.ivf() != nullptr ? DegradeMode::kIvf : DegradeMode::kNone;
 }
 
 ServeConfig BrownoutServeConfigFor(const ServeConfig& serve, DegradeMode mode,
                                    uint32_t brownout_nprobe) {
   ServeConfig out = serve;
-  switch (mode) {
-    case DegradeMode::kNone:
-      break;
-    case DegradeMode::kIvf:
-      // Pure IVF probe + exact fp32 re-rank: the degraded tier's cost
-      // is governed by nprobe alone, independent of the primary tier's
-      // scan representation.
-      out.exact = false;
-      out.nprobe = brownout_nprobe;
-      out.quantize = false;
-      out.fp16 = false;
-      break;
-    case DegradeMode::kFp16:
-      out.exact = true;
-      out.fp16 = true;
-      out.quantize = false;
-      break;
-    case DegradeMode::kQuantized:
-      out.exact = true;
-      out.quantize = true;
-      out.fp16 = false;
-      break;
+  if (mode == DegradeMode::kIvf) {
+    // Pure IVF probe over fp32 lists: the degraded tier's cost is
+    // governed by nprobe alone, independent of the primary tier's list
+    // representation.
+    out.exact = false;
+    out.nprobe = brownout_nprobe;
+    out.quantize = false;
   }
   return out;
 }
@@ -102,7 +81,7 @@ ServingFrontEnd::State::State(const Dataset& data,
       seq(sequence),
       engine(data, *snapshot, pool, config.serve) {
   if (config.brownout.enable) {
-    brownout_mode = BrownoutModeFor(*snapshot, config.serve);
+    brownout_mode = BrownoutModeFor(*snapshot);
     if (brownout_mode != DegradeMode::kNone) {
       brownout_engine = std::make_unique<RankingEngine>(
           data, *snapshot, pool,
@@ -318,10 +297,6 @@ uint64_t ServingFrontEnd::PublishSnapshot(
   BSLREC_CHECK(snapshot != nullptr);
   BSLREC_CHECK(snapshot->num_users() == data_.num_users());
   BSLREC_CHECK(snapshot->num_items() == data_.num_items());
-  BSLREC_CHECK_MSG(
-      !config_.serve.quantize || snapshot->has_quantized_items(),
-      "FrontEndConfig::serve.quantize requires snapshots built with "
-      "SnapshotOptions::quantize_items");
   std::lock_guard<std::mutex> publish_lock(publish_mu_);
   const uint64_t seq = next_seq_++;
   // Engine construction never drives the pool (ranking_engine.h), so

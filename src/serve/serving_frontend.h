@@ -67,12 +67,12 @@
 //     queue depth (and optionally observed batch latency) and trades
 //     ranking exactness for bounded latency when the front door falls
 //     behind: past the high-water mark it switches scoring to the
-//     snapshot's cheapest *approximate* tier — the IVF index at
-//     `brownout.nprobe` probes when the snapshot has one, else the
-//     fp16 table, else the int8 quantized scan (which is exact in
-//     results, cheaper in memory traffic) — and recovers to the
-//     configured tier once depth falls to the low-water mark
-//     (hysteresis, so the mode cannot flap batch-to-batch). Every
+//     snapshot's IVF index at `brownout.nprobe` probes (fp32 lists) —
+//     the only approximate tier; a snapshot without an index has no
+//     cheaper tier, so brownout never engages on it and every response
+//     is served undegraded — and recovers to the configured tier once
+//     depth falls to the low-water mark (hysteresis, so the mode
+//     cannot flap batch-to-batch). Every
 //     response scored in brownout is marked `degraded` with the
 //     `DegradeMode` used. `BrownoutModeFor` / `BrownoutServeConfigFor`
 //     expose the exact tier selection so callers can construct the
@@ -201,11 +201,10 @@ class DeadlineExceededError : public ServeError {
   DeadlineStage stage_;
 };
 
-// The degraded tier a brownout would serve `snapshot` at under `serve`
-// (kNone = no cheaper tier available: brownout cannot engage).
-// Preference order: IVF index > fp16 table > int8 table.
-DegradeMode BrownoutModeFor(const ModelSnapshot& snapshot,
-                            const ServeConfig& serve);
+// The degraded tier a brownout would serve `snapshot` at: kIvf when
+// the snapshot has an IVF index, else kNone (no cheaper tier available:
+// brownout cannot engage).
+DegradeMode BrownoutModeFor(const ModelSnapshot& snapshot);
 // The ServeConfig of the brownout tier — build an InferenceService /
 // RankingEngine from this to reproduce a degraded response bitwise.
 ServeConfig BrownoutServeConfigFor(const ServeConfig& serve, DegradeMode mode,
@@ -252,8 +251,8 @@ struct FrontEndConfig {
   // faults. Called only from the dispatcher thread.
   std::shared_ptr<FaultInjector> fault_injector;
   // Scoring configuration (ServeConfig::runtime sizes the private
-  // pool; quantize requires published snapshots built with
-  // SnapshotOptions::quantize_items).
+  // pool; exact = false requires published snapshots built with
+  // SnapshotOptions::ivf.build).
   ServeConfig serve;
 };
 

@@ -62,149 +62,12 @@ void SelectTopKInto(const float* scores, uint32_t lo, uint32_t hi, uint32_t k,
   out.assign(scratch.begin(), scratch.begin() + static_cast<long>(kk));
 }
 
-void QuantizedShardTopK(const ModelSnapshot& snapshot,
-                        const QuantizedQuery& query, uint32_t lo, uint32_t hi,
-                        uint32_t k, uint32_t candidate_margin,
-                        std::span<const uint32_t> exclude, ShardScratch& ws,
-                        std::vector<ScoredItem>& out) {
-  const size_t d = snapshot.dim();
-  const uint32_t m = hi - lo;
-  ++ws.shards_scanned;
+namespace {
 
-  // Phase 1: integer scan of the shard's int8 codes.
-  ws.idot.resize(m);
-  vec::DotBatchI8(query.codes, snapshot.ItemCodes(lo), m, d, ws.idot.data());
-
-  // Dequantize into approximate scores for the eligible (non-excluded)
-  // items, tracking the shard-wide certification-bound ingredients.
-  ws.approx.clear();
-  ws.approx.reserve(m);
-  float max_iscale = 0.0f;
-  float max_scale_l1 = 0.0f;
-  auto ex = exclude.begin();
-  for (uint32_t i = lo; i < hi; ++i) {
-    while (ex != exclude.end() && *ex < i) ++ex;
-    if (ex != exclude.end() && *ex == i) continue;
-    const float iscale = snapshot.ItemScale(i);
-    max_iscale = std::max(max_iscale, iscale);
-    max_scale_l1 = std::max(max_scale_l1, snapshot.ItemScaleL1(i));
-    const float approx =
-        static_cast<float>(ws.idot[i - lo]) * (query.scale * iscale);
-    ws.approx.push_back({i, approx});
-  }
-
-  // c = k + margin candidates (saturating).
-  const uint32_t c = k > UINT32_MAX - candidate_margin
-                         ? UINT32_MAX
-                         : k + candidate_margin;
-  if (ws.approx.size() <= c) {
-    // Degenerate shard (not enough items to prune): exact-score every
-    // eligible item — identical to the full fp32 path by construction.
-    for (ScoredItem& e : ws.approx) {
-      e.score = vec::Dot(query.q_hat, snapshot.ItemVec(e.item), d);
-    }
-    const size_t kk = std::min<size_t>(k, ws.approx.size());
-    std::partial_sort(ws.approx.begin(),
-                      ws.approx.begin() + static_cast<long>(kk),
-                      ws.approx.end(), ScoredBefore);
-    out.assign(ws.approx.begin(), ws.approx.begin() + static_cast<long>(kk));
-    return;
-  }
-
-  // Top-c eligible items by approximate score. Every unselected item's
-  // approximate score is <= the c-th candidate's.
-  std::partial_sort(ws.approx.begin(), ws.approx.begin() + c, ws.approx.end(),
-                    ScoredBefore);
-  const float approx_cutoff = ws.approx[c - 1].score;
-
-  // Phase 2: exact fp32 re-score of the candidates — the same vec::Dot
-  // ScoreItemRange uses, so certified results match the exact scan
-  // bitwise.
-  for (uint32_t j = 0; j < c; ++j) {
-    ws.approx[j].score =
-        vec::Dot(query.q_hat, snapshot.ItemVec(ws.approx[j].item), d);
-  }
-  std::partial_sort(ws.approx.begin(), ws.approx.begin() + k,
-                    ws.approx.begin() + c, ScoredBefore);
-  const float kth_exact = ws.approx[k - 1].score;
-
-  // Certification: an unselected item's true score is at most its
-  // approximate score plus the quantization bound
-  //   B = 0.5*(max_iscale*||q^||_1 + q_scale*max(iscale_i*||codes_i||_1))
-  // over eligible shard items. The bound is computed in double and
-  // inflated (x1.001 + 1e-6) to absorb the fp rounding of the bound
-  // arithmetic, of the dequantized approximations, and of the exact
-  // scores themselves — strictly below the k-th exact score means no
-  // unselected item can reach the top-k.
-  const double bound = 0.5 * (static_cast<double>(max_iscale) * query.l1 +
-                              static_cast<double>(query.scale) *
-                                  static_cast<double>(max_scale_l1));
-  const bool certified = static_cast<double>(approx_cutoff) +
-                             bound * 1.001 + 1e-6 <
-                         static_cast<double>(kth_exact);
-  if (certified) {
-    out.assign(ws.approx.begin(), ws.approx.begin() + k);
-    return;
-  }
-
-  // The margin could not separate the top-k boundary (near-tie score
-  // distribution): fall back to the full exact shard scan. Same output
-  // either way — the fallback costs latency, never correctness.
-  ++ws.shards_fallback;
-  ws.scores.resize(m);
-  ScoreItemRange(snapshot, query.q_hat, lo, hi, ws.scores.data());
-  SelectTopKInto(ws.scores.data(), lo, hi, k, exclude, ws.cand, out);
-}
-
-void F16ShardTopK(const ModelSnapshot& snapshot, const float* q_hat,
-                  uint32_t lo, uint32_t hi, uint32_t k,
-                  uint32_t candidate_margin, std::span<const uint32_t> exclude,
-                  ShardScratch& ws, std::vector<ScoredItem>& out) {
-  const size_t d = snapshot.dim();
-  const uint32_t m = hi - lo;
-  ++ws.fp16_shards;
-
-  // Phase 1: fp16 scan of the shard (half the fp32 memory traffic),
-  // then the top c = k + margin eligible items by fp16 score.
-  ws.scores.resize(m);
-  vec::DotBatchF16(q_hat, snapshot.ItemF16(lo), m, d, ws.scores.data());
-  const uint32_t c = k > UINT32_MAX - candidate_margin ? UINT32_MAX
-                                                       : k + candidate_margin;
-  const size_t cc = SortTopCandidates(ws.scores.data(), lo, hi, c, exclude,
-                                      ws.cand);
-  // Phase 2: exact fp32 re-rank of just those candidates. No
-  // certification — items below the fp16 cutoff stay invisible (see the
-  // header note); every returned score is still the exact cosine.
-  for (size_t j = 0; j < cc; ++j) {
-    ws.cand[j].score = vec::Dot(q_hat, snapshot.ItemVec(ws.cand[j].item), d);
-  }
-  const size_t kk = std::min<size_t>(k, cc);
-  std::partial_sort(ws.cand.begin(), ws.cand.begin() + static_cast<long>(kk),
-                    ws.cand.begin() + static_cast<long>(cc), ScoredBefore);
-  out.assign(ws.cand.begin(), ws.cand.begin() + static_cast<long>(kk));
-}
-
-std::vector<ScoredItem> F16CatalogTopK(const ModelSnapshot& snapshot,
-                                       const float* q_hat, uint32_t k,
-                                       std::span<const uint32_t> exclude,
-                                       const ScorerOptions& options,
-                                       ShardScratch& ws) {
-  const uint32_t n = snapshot.num_items();
-  ws.merge.clear();
-  for (uint32_t lo = 0; lo < n; lo += options.items_per_shard) {
-    const uint32_t hi = std::min<uint32_t>(n, lo + options.items_per_shard);
-    F16ShardTopK(snapshot, q_hat, lo, hi, k, options.candidate_margin,
-                 exclude, ws, ws.shard_out);
-    ws.merge.insert(ws.merge.end(), ws.shard_out.begin(), ws.shard_out.end());
-  }
-  const size_t kk = std::min<size_t>(k, ws.merge.size());
-  std::partial_sort(ws.merge.begin(),
-                    ws.merge.begin() + static_cast<long>(kk), ws.merge.end(),
-                    ScoredBefore);
-  return std::vector<ScoredItem>(ws.merge.begin(),
-                                 ws.merge.begin() + static_cast<long>(kk));
-}
-
+// One serial ANN query through the snapshot's IVF index: probes the
+// top-nprobe lists, scans them (fp32 rows, or int8 codes under
+// options.quantize), exact fp32 re-ranks the int8 candidates, and
+// writes the top-k into `out`.
 void IvfTopKInto(const ModelSnapshot& snapshot, const float* q_hat,
                  uint32_t k, std::span<const uint32_t> exclude,
                  const ScorerOptions& options, ShardScratch& ws,
@@ -230,7 +93,6 @@ void IvfTopKInto(const ModelSnapshot& snapshot, const float* q_hat,
   // 2. Gather eligible candidates from the probed lists. Candidates
   // carry their grouped *position* in `item` until the final sort so
   // phase 2 can read the index's contiguous rows.
-  const bool two_phase = options.quantize || options.fp16;
   float q_scale = 0.0f;
   if (options.quantize) {
     ws.q_codes.resize(d);
@@ -252,8 +114,6 @@ void IvfTopKInto(const ModelSnapshot& snapshot, const float* q_hat,
         ws.scores[j] = static_cast<float>(ws.idot[j]) *
                        (q_scale * ivf->Scale(begin + j));
       }
-    } else if (options.fp16) {
-      vec::DotBatchF16(q_hat, ivf->F16(begin), m, d, ws.scores.data());
     } else {
       vec::DotBatch(q_hat, ivf->Row(begin), m, d, ws.scores.data());
     }
@@ -270,15 +130,15 @@ void IvfTopKInto(const ModelSnapshot& snapshot, const float* q_hat,
   }
   ws.ivf_candidates += ws.approx.size();
 
-  // 3. Two-phase modes: keep the top c = k + margin of the whole
-  // candidate pool by approximate score (position tie-break — a fixed
-  // property of the index, so still deterministic), then exact fp32
-  // re-rank the survivors. fp32 mode scored exactly already.
+  // 3. int8 lists: keep the top c = k + margin of the whole candidate
+  // pool by approximate score (position tie-break — a fixed property
+  // of the index, so still deterministic), then exact fp32 re-rank the
+  // survivors. fp32 lists scored exactly already.
   size_t cc = ws.approx.size();
-  if (two_phase) {
-    const uint32_t c = k > UINT32_MAX - options.candidate_margin
+  if (options.quantize) {
+    const uint32_t c = k > UINT32_MAX - kDefaultCandidateMargin
                            ? UINT32_MAX
-                           : k + options.candidate_margin;
+                           : k + kDefaultCandidateMargin;
     cc = std::min<size_t>(c, ws.approx.size());
     std::partial_sort(ws.approx.begin(),
                       ws.approx.begin() + static_cast<long>(cc),
@@ -301,46 +161,7 @@ void IvfTopKInto(const ModelSnapshot& snapshot, const float* q_hat,
   out.assign(ws.approx.begin(), ws.approx.begin() + static_cast<long>(kk));
 }
 
-std::vector<ScoredItem> IvfCatalogTopK(const ModelSnapshot& snapshot,
-                                       const float* q_hat, uint32_t k,
-                                       std::span<const uint32_t> exclude,
-                                       const ScorerOptions& options,
-                                       ShardScratch& ws) {
-  std::vector<ScoredItem> out;
-  IvfTopKInto(snapshot, q_hat, k, exclude, options, ws, out);
-  return out;
-}
-
-std::vector<ScoredItem> QuantizedCatalogTopK(const ModelSnapshot& snapshot,
-                                             const float* q_hat, uint32_t k,
-                                             std::span<const uint32_t> exclude,
-                                             const ScorerOptions& options,
-                                             ShardScratch& ws) {
-  const size_t d = snapshot.dim();
-  const uint32_t n = snapshot.num_items();
-  ws.q_codes.resize(d);
-  QuantizedQuery query;
-  query.q_hat = q_hat;
-  query.codes = ws.q_codes.data();
-  query.scale = vec::QuantizeRow(q_hat, d, ws.q_codes.data());
-  query.l1 = vec::L1Norm(q_hat, d);
-
-  // Per-shard certified top-k, accumulated and reduced exactly like
-  // MergeTopK (concatenate, then one partial_sort under the strict
-  // total order), so the result is independent of the shard grain.
-  ws.merge.clear();
-  for (uint32_t lo = 0; lo < n; lo += options.items_per_shard) {
-    const uint32_t hi = std::min<uint32_t>(n, lo + options.items_per_shard);
-    QuantizedShardTopK(snapshot, query, lo, hi, k, options.candidate_margin,
-                       exclude, ws, ws.shard_out);
-    ws.merge.insert(ws.merge.end(), ws.shard_out.begin(), ws.shard_out.end());
-  }
-  const size_t kk = std::min<size_t>(k, ws.merge.size());
-  std::partial_sort(ws.merge.begin(), ws.merge.begin() + static_cast<long>(kk),
-                    ws.merge.end(), ScoredBefore);
-  return std::vector<ScoredItem>(ws.merge.begin(),
-                                 ws.merge.begin() + static_cast<long>(kk));
-}
+}  // namespace
 
 std::vector<ScoredItem> MergeTopK(
     std::span<const std::vector<ScoredItem>> shard_tops, uint32_t k) {
@@ -371,15 +192,9 @@ CatalogScorer::CatalogScorer(const ModelSnapshot& snapshot,
       options_(options),
       scratch_(pool.num_workers()) {
   BSLREC_CHECK(options.items_per_shard > 0);
-  BSLREC_CHECK_MSG(!options.quantize || snapshot.has_quantized_items(),
-                   "ScorerOptions::quantize requires a snapshot built with "
-                   "SnapshotOptions::quantize_items");
-  BSLREC_CHECK_MSG(!options.fp16 || snapshot.has_fp16_items(),
-                   "ScorerOptions::fp16 requires a snapshot built with "
-                   "SnapshotOptions::fp16_items");
-  BSLREC_CHECK_MSG(!(options.quantize && options.fp16),
-                   "ScorerOptions::quantize and fp16 are mutually exclusive "
-                   "phase-1 representations");
+  BSLREC_CHECK_MSG(!(options.quantize && options.exact),
+                   "ScorerOptions::quantize selects int8 IVF lists and "
+                   "needs exact = false");
   BSLREC_CHECK_MSG(options.exact || snapshot.ivf() != nullptr,
                    "ScorerOptions::exact = false requires a snapshot built "
                    "with SnapshotOptions::ivf.build");
@@ -389,9 +204,6 @@ CatalogScorer::Stats CatalogScorer::stats() const {
   Stats s;
   for (const ShardScratch& ws : scratch_) {
     s.exact_shards += ws.exact_shards;
-    s.shards_scanned += ws.shards_scanned;
-    s.shards_fallback += ws.shards_fallback;
-    s.fp16_shards += ws.fp16_shards;
     s.ivf_queries += ws.ivf_queries;
     s.ivf_lists += ws.ivf_lists;
     s.ivf_candidates += ws.ivf_candidates;
@@ -403,9 +215,6 @@ CatalogScorer::Stats CatalogScorer::stats() const {
 void CatalogScorer::ResetStats() const {
   for (ShardScratch& ws : scratch_) {
     ws.exact_shards = 0;
-    ws.shards_scanned = 0;
-    ws.shards_fallback = 0;
-    ws.fp16_shards = 0;
     ws.ivf_queries = 0;
     ws.ivf_lists = 0;
     ws.ivf_candidates = 0;
@@ -444,24 +253,6 @@ std::vector<std::vector<ScoredItem>> CatalogScorer::BatchTopK(
   }
   if (num_shards == 0) return out;
 
-  const size_t d = snapshot_.dim();
-  if (options_.quantize) {
-    // Quantize every query once up front (rows are independent, so the
-    // parallel fill is deterministic); the task grid below reads them.
-    q_codes_.resize(queries.size() * d);
-    q_scale_.resize(queries.size());
-    q_l1_.resize(queries.size());
-    runtime::ParallelFor(
-        pool_, 0, queries.size(), 8,
-        [&](size_t lo, size_t hi, size_t /*shard*/, size_t /*worker*/) {
-          for (size_t qi = lo; qi < hi; ++qi) {
-            q_scale_[qi] =
-                vec::QuantizeRow(queries[qi].q_hat, d, &q_codes_[qi * d]);
-            q_l1_[qi] = vec::L1Norm(queries[qi].q_hat, d);
-          }
-        });
-  }
-
   // Flat (query, item-shard) task grid with one per-shard output slot
   // per task and shard-sized buffers per worker (hoisted into scorer
   // scratch — steady-state scanning allocates nothing). Each slot is
@@ -479,24 +270,12 @@ std::vector<std::vector<ScoredItem>> CatalogScorer::BatchTopK(
               static_cast<uint32_t>((t % num_shards) * items_per_shard);
           const uint32_t item_hi =
               std::min<uint32_t>(n, item_lo + items_per_shard);
-          if (options_.quantize) {
-            const QuantizedQuery qq{q.q_hat, q_codes_.data() + qi * d,
-                                    q_scale_[qi], q_l1_[qi]};
-            QuantizedShardTopK(snapshot_, qq, item_lo, item_hi, q.k,
-                               options_.candidate_margin, q.exclude, ws,
-                               shard_tops_[t]);
-          } else if (options_.fp16) {
-            F16ShardTopK(snapshot_, q.q_hat, item_lo, item_hi, q.k,
-                         options_.candidate_margin, q.exclude, ws,
-                         shard_tops_[t]);
-          } else {
-            ++ws.exact_shards;
-            ws.scores.resize(items_per_shard);
-            ScoreItemRange(snapshot_, q.q_hat, item_lo, item_hi,
-                           ws.scores.data());
-            SelectTopKInto(ws.scores.data(), item_lo, item_hi, q.k, q.exclude,
-                           ws.cand, shard_tops_[t]);
-          }
+          ++ws.exact_shards;
+          ws.scores.resize(items_per_shard);
+          ScoreItemRange(snapshot_, q.q_hat, item_lo, item_hi,
+                         ws.scores.data());
+          SelectTopKInto(ws.scores.data(), item_lo, item_hi, q.k, q.exclude,
+                         ws.cand, shard_tops_[t]);
         }
       });
   for (size_t qi = 0; qi < queries.size(); ++qi) {

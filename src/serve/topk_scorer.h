@@ -24,58 +24,9 @@
 // inference service's cutoff-prefix reuse and the evaluator's cached
 // rankings both lean on this.
 //
-// ---- Quantized two-phase scan (ScorerOptions::quantize) ----
-//
-// With a quantized snapshot, each (query, shard) task replaces the fp32
-// scan with a certified two-phase pass:
-//
-//   Phase 1  scans the shard's int8 item codes with vec::DotBatchI8 and
-//            dequantizes each integer dot into an approximate score
-//            s~_i = idot * (q_scale * item_scale_i)  (~4x less memory
-//            traffic than the fp32 scan), then picks the top
-//            c = k + candidate_margin eligible items by approximate
-//            score.
-//   Phase 2  re-scores exactly those c candidates with the *same* fp32
-//            vec::Dot the exact scorer uses, and takes their top-k.
-//
-// Certification argument (why the result is bit-identical, not merely
-// close): symmetric quantization bounds each true score by
-//   |s_i - s~_i| <= 0.5*(item_scale_i*||q^||_1
-//                        + q_scale*item_scale_i*||codes_i||_1)
-// (each factor is one round-to-nearest of at most half a quantization
-// step, weighted by the other vector's magnitude). The scan tracks the
-// shard-wide maximum B of this bound over eligible items. Every
-// unselected item has approximate score <= the c-th candidate's, so its
-// true score is < cutoff~ + B (inflated by a small factor to absorb
-// fp rounding in the bound arithmetic itself). If cutoff~ + B is
-// strictly below the k-th candidate's *exact* score, no unselected item
-// can enter the top-k, and the candidates' exact top-k IS the shard's
-// exact top-k — same fp32 score values, same (score desc, id asc)
-// order, bitwise. When the margin cannot certify the boundary (near-tie
-// score distributions), the task falls back to the full fp32 shard
-// scan, which is exact by definition. Both paths emit the identical
-// shard top-k, so the fallback rate — and therefore the quantized mode
-// itself — can never change a served ranking, only its latency. All
-// existing contracts (any thread count, any shard grain, batch ==
-// single, evaluator == service) carry over unchanged.
-//
-// ---- fp16 two-phase scan (ScorerOptions::fp16) ----
-//
-// With an fp16 snapshot table, each (query, shard) task scans the
-// shard's IEEE-half codes with vec::DotBatchF16 (half the fp32 memory
-// traffic), keeps the top c = k + candidate_margin eligible items by
-// fp16 score, and exact fp32 re-ranks just those. Unlike the quantized
-// scan there is NO certification and NO fallback — this is the
-// certification-free intermediate the ROADMAP names: every *returned*
-// score is still the exact fp32 cosine (phase 2), but an item whose
-// fp16 score fell below the margin cutoff can be missed, so results may
-// diverge from the exact ranking (bench_serve reports the divergence as
-// recall@k). Determinism still holds: fp16 scores are bit-identical on
-// every SIMD tier (vec.h contract) and selection uses the same strict
-// total order, so responses are bit-identical across thread counts and
-// batch packings at a fixed shard grain. (Changing items_per_shard
-// changes which candidates clear the per-shard margin — grain is part
-// of the approximation's shape, like nprobe for ANN.)
+// There are two scoring paths: this exact sharded scan, which every
+// ranking is measured against, and IVF below, the one approximate tier
+// on the measured (recall, req/s) frontier (bench_serve sweeps it).
 //
 // ---- IVF approximate retrieval (ScorerOptions::exact = false) ----
 //
@@ -86,24 +37,24 @@
 //   1. score all nlist centroids with one fused vec::DotBatch;
 //   2. visit the top-nprobe lists under (score desc, centroid id asc);
 //   3. scan each list's grouped rows contiguously — fp32 by default,
-//      int8 codes (vec::DotBatchI8) under ScorerOptions::quantize, or
-//      fp16 codes (vec::DotBatchF16) under ScorerOptions::fp16, in
-//      which case the top k + candidate_margin of the gathered pool by
-//      approximate score are kept;
+//      or the index's int8 codes (vec::DotBatchI8) under
+//      ScorerOptions::quantize, in which case the top
+//      k + kDefaultCandidateMargin of the gathered pool by approximate
+//      score are kept;
 //   4. exact fp32 re-rank the surviving candidates and emit the top-k
 //      under the same (score desc, item id asc) total order.
 //
 // Items outside the probed lists are invisible, so ANN responses may
 // diverge from the exact ranking — recall@k-vs-exact is the quality
-// metric (bench_serve sweeps (nlist, nprobe)). Determinism, however,
-// stays absolute: the index is frozen at snapshot time, each query's
-// probe/scan/re-rank runs serially into its own output slot, and the
-// pool only parallelizes *across* queries — so ANN responses are
-// bit-identical across thread counts, shard grains (items_per_shard is
-// not used at all), and batch packings: same index => same lists =>
-// same candidates => same total order. With nprobe >= nlist and fp32
-// phase-1, every item is visible and the response equals the exact
-// scan's bitwise.
+// metric (bench_serve sweeps (nlist, nprobe) for both list forms).
+// Determinism, however, stays absolute: the index is frozen at
+// snapshot time, each query's probe/scan/re-rank runs serially into
+// its own output slot, and the pool only parallelizes *across*
+// queries — so ANN responses are bit-identical across thread counts,
+// shard grains (items_per_shard is not used at all), and batch
+// packings: same index => same lists => same candidates => same total
+// order. With nprobe >= nlist and fp32 lists, every item is visible
+// and the response equals the exact scan's bitwise.
 #ifndef BSLREC_SERVE_TOPK_SCORER_H_
 #define BSLREC_SERVE_TOPK_SCORER_H_
 
@@ -170,124 +121,48 @@ struct ScoreQuery {
   std::span<const uint32_t> exclude;  // sorted ascending ids to skip
 };
 
-// Extra phase-1 candidates per shard beyond k. Larger margins certify
-// more shards (fewer exact fallbacks) at the cost of more phase-2 fp32
-// re-scores; the result never changes either way.
+// Candidates beyond k that survive an int8 IVF list scan into the
+// exact fp32 re-rank. Larger margins recover more near-boundary items
+// at the cost of more fp32 re-scores.
 inline constexpr uint32_t kDefaultCandidateMargin = 64;
 
 // Default coarse lists visited per ANN query.
 inline constexpr uint32_t kDefaultNprobe = 8;
 
 struct ScorerOptions {
-  // Catalog items per scoring shard (per-worker buffer size).
+  // Catalog items per scoring shard (per-worker buffer size); exact
+  // mode only.
   uint32_t items_per_shard = 2048;
-  // Use the snapshot's int8 table for phase 1 (the snapshot must have
-  // been built with SnapshotOptions::quantize_items). Mutually
-  // exclusive with fp16.
+  // Scan the IVF lists' int8 codes instead of their fp32 rows, then
+  // exact fp32 re-rank the top k + kDefaultCandidateMargin. ANN only:
+  // rejected when exact.
   bool quantize = false;
-  uint32_t candidate_margin = kDefaultCandidateMargin;
-  // Use the snapshot's fp16 table for phase 1 (the snapshot must have
-  // been built with SnapshotOptions::fp16_items). Certification-free:
-  // returned scores are exact fp32, but near-margin items can be
-  // missed (see the header note).
-  bool fp16 = false;
   // false = ANN: retrieve through the snapshot's IVF index (the
   // snapshot must have been built with SnapshotOptions::ivf.build)
-  // instead of scanning the full catalog. Composes with quantize/fp16,
-  // which then pick the list-scan representation.
+  // instead of scanning the full catalog.
   bool exact = true;
   // Coarse lists visited per ANN query (clamped to [1, nlist]);
   // ignored when exact.
   uint32_t nprobe = kDefaultNprobe;
 };
 
-// Reusable per-worker buffers for one shard-scan task stream; also
-// accumulates the owner's scan statistics. All buffers keep their
-// capacity across calls, so steady-state scanning allocates nothing.
+// Reusable per-worker buffers for one task stream; also accumulates the
+// owner's scan statistics. All buffers keep their capacity across
+// calls, so steady-state scanning allocates nothing.
 struct ShardScratch {
   std::vector<float> scores;       // fp32 scores (shard / centroid / list)
-  std::vector<int32_t> idot;       // one integer dot per shard item
-  std::vector<ScoredItem> approx;  // eligible items by approximate score
+  std::vector<int32_t> idot;       // one integer dot per int8 list row
+  std::vector<ScoredItem> approx;  // eligible ANN candidates
   std::vector<ScoredItem> cand;    // SelectTopK candidate scratch
-  std::vector<ScoredItem> merge;   // serial whole-catalog accumulation
-  std::vector<ScoredItem> shard_out;
   std::vector<ScoredItem> probes;  // top-nprobe centroids (ivf)
-  std::vector<int8_t> q_codes;     // serial-path query quantization
+  std::vector<int8_t> q_codes;     // int8 query codes (ivf)
   // Per-mode counters (summed into CatalogScorer::Stats):
   uint64_t exact_shards = 0;       // exact fp32 shard tasks executed
-  uint64_t shards_scanned = 0;     // quantized shard tasks executed
-  uint64_t shards_fallback = 0;    // ... that failed certification
-  uint64_t fp16_shards = 0;        // fp16 two-phase shard tasks executed
   uint64_t ivf_queries = 0;        // ANN queries answered
   uint64_t ivf_lists = 0;          // coarse lists probed (incl. empty)
   uint64_t ivf_candidates = 0;     // eligible candidates gathered
   uint64_t ivf_reranked = 0;       // candidates exact fp32 re-ranked
 };
-
-// A query prepared for the quantized scan: the fp32 unit vector plus
-// its int8 codes, quantization scale, and fp32 L1 norm.
-struct QuantizedQuery {
-  const float* q_hat;
-  const int8_t* codes;
-  float scale;
-  double l1;
-};
-
-// One certified (query, shard) task: writes the *exact* top-k of items
-// [lo, hi) under ScoredBefore into `out` — bit-identical to
-// ScoreItemRange + SelectTopK over the same range — using the two-phase
-// quantized scan described in the header note.
-void QuantizedShardTopK(const ModelSnapshot& snapshot,
-                        const QuantizedQuery& query, uint32_t lo, uint32_t hi,
-                        uint32_t k, uint32_t candidate_margin,
-                        std::span<const uint32_t> exclude, ShardScratch& ws,
-                        std::vector<ScoredItem>& out);
-
-// Serial whole-catalog form (quantizes the query itself): the exact
-// top-k over every item, bit-identical to an exact full scan. This is
-// the evaluator's per-user kernel — its user loop is already parallel,
-// so each user's catalog scan stays on one worker.
-std::vector<ScoredItem> QuantizedCatalogTopK(const ModelSnapshot& snapshot,
-                                             const float* q_hat, uint32_t k,
-                                             std::span<const uint32_t> exclude,
-                                             const ScorerOptions& options,
-                                             ShardScratch& ws);
-
-// One fp16 (query, shard) task: phase-1 vec::DotBatchF16 over the
-// snapshot's fp16 codes of items [lo, hi), top k + candidate_margin
-// eligible by fp16 score, exact fp32 re-rank of those. Returned scores
-// are exact; the candidate *set* is approximate (no certification — see
-// the header note). Deterministic for a fixed range.
-void F16ShardTopK(const ModelSnapshot& snapshot, const float* q_hat,
-                  uint32_t lo, uint32_t hi, uint32_t k,
-                  uint32_t candidate_margin, std::span<const uint32_t> exclude,
-                  ShardScratch& ws, std::vector<ScoredItem>& out);
-
-// Serial whole-catalog fp16 form (the evaluator's per-user kernel for
-// ScorerOptions::fp16); shard layout follows options.items_per_shard.
-std::vector<ScoredItem> F16CatalogTopK(const ModelSnapshot& snapshot,
-                                       const float* q_hat, uint32_t k,
-                                       std::span<const uint32_t> exclude,
-                                       const ScorerOptions& options,
-                                       ShardScratch& ws);
-
-// One serial ANN query through the snapshot's IVF index (the snapshot
-// must have been built with SnapshotOptions::ivf.build): probes the
-// top-nprobe lists, scans them with the representation options selects
-// (fp32 / int8 / fp16), exact fp32 re-ranks the candidates, and writes
-// the top-k into `out`. This is both the per-query kernel of the
-// parallel ANN BatchTopK and the evaluator's approximate per-user path.
-void IvfTopKInto(const ModelSnapshot& snapshot, const float* q_hat,
-                 uint32_t k, std::span<const uint32_t> exclude,
-                 const ScorerOptions& options, ShardScratch& ws,
-                 std::vector<ScoredItem>& out);
-
-// Convenience wrapper returning a fresh vector.
-std::vector<ScoredItem> IvfCatalogTopK(const ModelSnapshot& snapshot,
-                                       const float* q_hat, uint32_t k,
-                                       std::span<const uint32_t> exclude,
-                                       const ScorerOptions& options,
-                                       ShardScratch& ws);
 
 class CatalogScorer {
  public:
@@ -299,9 +174,6 @@ class CatalogScorer {
   // scorer's stats identify the path it actually ran.
   struct Stats {
     uint64_t exact_shards = 0;     // exact fp32 shard tasks
-    uint64_t shards_scanned = 0;   // quantized shard tasks
-    uint64_t shards_fallback = 0;  // ... that failed certification
-    uint64_t fp16_shards = 0;      // fp16 two-phase shard tasks
     uint64_t ivf_queries = 0;      // ANN queries answered
     uint64_t ivf_lists = 0;        // coarse lists probed (incl. empty)
     uint64_t ivf_candidates = 0;   // eligible list candidates gathered
@@ -333,7 +205,8 @@ class CatalogScorer {
 
   // Batched queries: parallelizes over the flat (query x item-shard)
   // task grid, so a single large query and many small ones saturate
-  // the pool equally well. Result i answers queries[i].
+  // the pool equally well (ANN: one serial task per query). Result i
+  // answers queries[i].
   std::vector<std::vector<ScoredItem>> BatchTopK(
       std::span<const ScoreQuery> queries) const;
 
@@ -348,9 +221,6 @@ class CatalogScorer {
   // contract above.
   mutable std::vector<ShardScratch> scratch_;        // one per worker
   mutable std::vector<std::vector<ScoredItem>> shard_tops_;
-  mutable std::vector<int8_t> q_codes_;              // per-call queries
-  mutable std::vector<float> q_scale_;
-  mutable std::vector<double> q_l1_;
 };
 
 }  // namespace bslrec::serve

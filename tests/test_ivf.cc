@@ -1,9 +1,9 @@
-// Tests for IVF approximate retrieval and the fp16 scan path: seeded
-// k-means reproducibility, index layout invariants, ANN response
-// determinism across thread counts / shard grains / batch packings, the
-// nprobe >= nlist exactness degeneration, int8/fp16 list-scan
-// composition, empty-list edge cases, scorer stats, the approximate
-// evaluator pass, and the concurrent front door on an ANN config.
+// Tests for IVF approximate retrieval: seeded k-means reproducibility
+// (centroids, postings and int8 codes), index layout invariants, ANN
+// response determinism across thread counts / shard grains / batch
+// packings, the nprobe >= nlist exactness degeneration, int8 list
+// scans, empty-list edge cases, scorer stats, the quantize/exact
+// rejection, and the concurrent front door on an ANN config.
 #include "serve/ivf_index.h"
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "data/synthetic.h"
-#include "eval/evaluator.h"
 #include "gtest/gtest.h"
 #include "math/vec.h"
 #include "models/mf.h"
@@ -41,10 +40,8 @@ Dataset MediumDataset(uint64_t seed = 11) {
   return GenerateSynthetic(cfg).dataset;
 }
 
-serve::SnapshotOptions SnapOpts(bool quantize, bool fp16, uint32_t nlist) {
+serve::SnapshotOptions SnapOpts(uint32_t nlist) {
   serve::SnapshotOptions so;
-  so.quantize_items = quantize;
-  so.fp16_items = fp16;
   so.ivf.build = true;
   so.ivf.nlist = nlist;
   return so;
@@ -95,11 +92,11 @@ TEST(IvfIndex, KMeansIsSeedReproducibleForAnyPoolSize) {
   MfModel model(d.num_users(), d.num_items(), 8, rng);
   model.Forward(rng);
   runtime::ThreadPool pool1(1);
-  const ModelSnapshot base(model, pool1, SnapOpts(false, false, 8));
+  const ModelSnapshot base(model, pool1, SnapOpts(8));
   ASSERT_NE(base.ivf(), nullptr);
   for (const size_t threads : {2u, 8u}) {
     runtime::ThreadPool pool(threads);
-    const ModelSnapshot snap(model, pool, SnapOpts(false, false, 8));
+    const ModelSnapshot snap(model, pool, SnapOpts(8));
     const IvfIndex& a = *base.ivf();
     const IvfIndex& b = *snap.ivf();
     ASSERT_EQ(a.nlist(), b.nlist()) << threads << " threads";
@@ -115,6 +112,14 @@ TEST(IvfIndex, KMeansIsSeedReproducibleForAnyPoolSize) {
       EXPECT_EQ(a.Centroids()[c], b.Centroids()[c])
           << threads << " threads, coord " << c;
     }
+    // The int8 codes are quantized in the same parallel build.
+    for (uint32_t p = 0; p < a.num_items(); ++p) {
+      EXPECT_EQ(a.Scale(p), b.Scale(p)) << threads << " threads, pos " << p;
+      for (size_t c = 0; c < a.dim(); ++c) {
+        EXPECT_EQ(a.Codes(p)[c], b.Codes(p)[c])
+            << threads << " threads, pos " << p;
+      }
+    }
   }
 }
 
@@ -124,7 +129,7 @@ TEST(IvfIndex, LayoutPartitionsTheCatalogWithAscendingIds) {
   MfModel model(d.num_users(), d.num_items(), 8, rng);
   model.Forward(rng);
   runtime::ThreadPool pool(4);
-  const ModelSnapshot snap(model, pool, SnapOpts(true, true, 8));
+  const ModelSnapshot snap(model, pool, SnapOpts(8));
   const IvfIndex& ivf = *snap.ivf();
   ASSERT_EQ(ivf.num_items(), snap.num_items());
   EXPECT_EQ(ivf.ListOffset(0), 0u);
@@ -144,17 +149,18 @@ TEST(IvfIndex, LayoutPartitionsTheCatalogWithAscendingIds) {
   for (uint32_t i = 0; i < snap.num_items(); ++i) {
     EXPECT_TRUE(seen[i]) << "item " << i << " missing from every list";
   }
-  // Grouped tables are bitwise copies of the snapshot rows in posting
-  // order (the bit-identity of ANN scores rests on this).
-  ASSERT_TRUE(ivf.has_codes());
-  ASSERT_TRUE(ivf.has_f16());
+  // Grouped rows are bitwise copies of the snapshot rows in posting
+  // order (the bit-identity of ANN scores rests on this), and their
+  // int8 codes are exactly vec::QuantizeRow of those rows.
+  std::vector<int8_t> codes(snap.dim());
   for (uint32_t p = 0; p < ivf.num_items(); ++p) {
     const uint32_t id = ivf.ItemIdAt(p);
-    EXPECT_EQ(ivf.Scale(p), snap.ItemScale(id)) << "pos " << p;
+    const float scale = vec::QuantizeRow(snap.ItemVec(id), snap.dim(),
+                                         codes.data());
+    EXPECT_EQ(ivf.Scale(p), scale) << "pos " << p;
     for (size_t c = 0; c < snap.dim(); ++c) {
       EXPECT_EQ(ivf.Row(p)[c], snap.ItemVec(id)[c]) << "pos " << p;
-      EXPECT_EQ(ivf.Codes(p)[c], snap.ItemCodes(id)[c]) << "pos " << p;
-      EXPECT_EQ(ivf.F16(p)[c], snap.ItemF16(id)[c]) << "pos " << p;
+      EXPECT_EQ(ivf.Codes(p)[c], codes[c]) << "pos " << p;
     }
   }
 }
@@ -217,41 +223,37 @@ TEST(AnnService, FullProbeFp32MatchesExactServiceBitwise) {
   }
 }
 
-TEST(AnnService, Int8AndF16ListScansStayDeterministicWithExactScores) {
+TEST(AnnService, Int8ListScansStayDeterministicWithExactScores) {
   const Dataset d = MediumDataset();
   Rng rng(44);
   MfModel model(d.num_users(), d.num_items(), 8, rng);
   model.Forward(rng);
   const std::vector<TopKRequest> reqs = AllUserRequests(d);
-  for (const bool use_fp16 : {false, true}) {
-    ServeConfig base_cfg = AnnConfig(1, 8, 3);
-    base_cfg.quantize = !use_fp16;
-    base_cfg.fp16 = use_fp16;
-    InferenceService baseline(d, model, base_cfg);
-    const std::vector<TopKResponse> want = baseline.HandleBatch(reqs);
-    const ModelSnapshot& snap = baseline.snapshot();
-    // Phase 2 re-ranks every ANN candidate in fp32, so each returned
-    // score must equal the exact cosine recomputed from the fp32 rows.
-    for (size_t r = 0; r < want.size(); ++r) {
-      for (size_t i = 0; i < want[r].items.size(); ++i) {
-        EXPECT_EQ(want[r].scores[i],
-                  vec::Dot(snap.UserVec(reqs[r].user),
-                           snap.ItemVec(want[r].items[i]), snap.dim()))
-            << (use_fp16 ? "fp16" : "int8") << " request " << r;
-      }
+  ServeConfig base_cfg = AnnConfig(1, 8, 3);
+  base_cfg.quantize = true;
+  InferenceService baseline(d, model, base_cfg);
+  const std::vector<TopKResponse> want = baseline.HandleBatch(reqs);
+  const ModelSnapshot& snap = baseline.snapshot();
+  // Phase 2 re-ranks every ANN candidate in fp32, so each returned
+  // score must equal the exact cosine recomputed from the fp32 rows.
+  for (size_t r = 0; r < want.size(); ++r) {
+    for (size_t i = 0; i < want[r].items.size(); ++i) {
+      EXPECT_EQ(want[r].scores[i],
+                vec::Dot(snap.UserVec(reqs[r].user),
+                         snap.ItemVec(want[r].items[i]), snap.dim()))
+          << "request " << r;
     }
-    for (const size_t threads : {2u, 8u}) {
-      ServeConfig cfg = base_cfg;
-      cfg.runtime.num_threads = threads;
-      InferenceService service(d, model, cfg);
-      const std::vector<TopKResponse> got = service.HandleBatch(reqs);
-      ASSERT_EQ(got.size(), want.size());
-      for (size_t r = 0; r < want.size(); ++r) {
-        ExpectSameResponse(got[r], want[r],
-                           std::string(use_fp16 ? "fp16" : "int8") + ", " +
-                               std::to_string(threads) + " threads, request " +
-                               std::to_string(r));
-      }
+  }
+  for (const size_t threads : {2u, 8u}) {
+    ServeConfig cfg = base_cfg;
+    cfg.runtime.num_threads = threads;
+    InferenceService service(d, model, cfg);
+    const std::vector<TopKResponse> got = service.HandleBatch(reqs);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t r = 0; r < want.size(); ++r) {
+      ExpectSameResponse(got[r], want[r],
+                         std::to_string(threads) + " threads, request " +
+                             std::to_string(r));
     }
   }
 }
@@ -302,8 +304,6 @@ TEST(AnnService, StatsCountProbesAndResetZeroes) {
   EXPECT_GT(st.ivf_candidates, 0u);
   EXPECT_EQ(st.ivf_reranked, 0u);
   EXPECT_EQ(st.exact_shards, 0u);
-  EXPECT_EQ(st.fp16_shards, 0u);
-  EXPECT_EQ(st.shards_scanned, 0u);
   fp32.scorer().ResetStats();
   st = fp32.scorer().stats();
   EXPECT_EQ(st.ivf_queries, 0u);
@@ -320,84 +320,17 @@ TEST(AnnService, StatsCountProbesAndResetZeroes) {
   EXPECT_LE(st.ivf_reranked, st.ivf_candidates);
 }
 
-TEST(F16Service, DeterministicAcrossThreadsAndBatchesWithExactScores) {
+TEST(AnnService, QuantizeWithExactScanIsRejected) {
   const Dataset d = MediumDataset();
-  Rng rng(47);
+  Rng rng(50);
   MfModel model(d.num_users(), d.num_items(), 8, rng);
   model.Forward(rng);
-  const std::vector<TopKRequest> reqs = AllUserRequests(d);
-  // Fixed shard grain: the fp16 candidate sets depend on it (the mode
-  // is certification-free), but at a fixed grain responses must be
-  // bit-identical for any thread count and batch packing.
-  ServeConfig base_cfg;
-  base_cfg.max_k = 20;
-  base_cfg.items_per_shard = 16;
-  base_cfg.fp16 = true;
-  base_cfg.runtime.num_threads = 1;
-  InferenceService baseline(d, model, base_cfg);
-  const std::vector<TopKResponse> want = baseline.HandleBatch(reqs);
-  const ModelSnapshot& snap = baseline.snapshot();
-  for (size_t r = 0; r < want.size(); ++r) {
-    for (size_t i = 0; i < want[r].items.size(); ++i) {
-      EXPECT_EQ(want[r].scores[i],
-                vec::Dot(snap.UserVec(reqs[r].user),
-                         snap.ItemVec(want[r].items[i]), snap.dim()))
-          << "request " << r << " rank " << i;
-    }
-  }
-  for (const size_t threads : {2u, 8u}) {
-    ServeConfig cfg = base_cfg;
-    cfg.runtime.num_threads = threads;
-    InferenceService service(d, model, cfg);
-    const std::vector<TopKResponse> got = service.HandleBatch(reqs);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t r = 0; r < want.size(); ++r) {
-      ExpectSameResponse(got[r], want[r],
-                         std::to_string(threads) + " threads, request " +
-                             std::to_string(r));
-    }
-    InferenceService single(d, model, cfg);
-    for (size_t r = 0; r < reqs.size(); r += 7) {
-      const size_t n = std::min<size_t>(7, reqs.size() - r);
-      const std::vector<TopKResponse> slice =
-          single.HandleBatch({reqs.data() + r, n});
-      for (size_t j = 0; j < n; ++j) {
-        ExpectSameResponse(slice[j], want[r + j],
-                           "slice at " + std::to_string(r + j));
-      }
-    }
-  }
-}
-
-TEST(AnnEvaluator, FullProbePassMatchesExactMetricsBitwise) {
-  const Dataset d = MediumDataset();
-  Rng rng(48);
-  MfModel model(d.num_users(), d.num_items(), 8, rng);
-  model.Forward(rng);
-  const Evaluator exact(d, 10, runtime::RuntimeConfig{2});
-  serve::ScorerOptions ann_scoring;
-  ann_scoring.exact = false;
-  ann_scoring.nprobe = 1000;  // >= nlist: every item visible
-  const Evaluator ann(d, 10, runtime::RuntimeConfig{2}, ann_scoring);
-  const TopKMetrics want = exact.Evaluate(model);
-  const TopKMetrics got = ann.Evaluate(model);
-  EXPECT_EQ(got.num_users, want.num_users);
-  EXPECT_EQ(got.recall, want.recall);
-  EXPECT_EQ(got.ndcg, want.ndcg);
-  EXPECT_EQ(got.precision, want.precision);
-  EXPECT_EQ(got.hit_rate, want.hit_rate);
-  // A narrow probe is a genuine approximation: it may rank test items
-  // higher OR lower than the exact pass (missed items can be strong
-  // distractors), so only well-formedness is asserted.
-  serve::ScorerOptions narrow = ann_scoring;
-  narrow.nprobe = 2;
-  const Evaluator approx(d, 10, runtime::RuntimeConfig{2}, narrow);
-  const TopKMetrics m = approx.Evaluate(model);
-  EXPECT_EQ(m.num_users, want.num_users);
-  EXPECT_GE(m.recall, 0.0);
-  EXPECT_LE(m.recall, 1.0);
-  EXPECT_GE(m.ndcg, 0.0);
-  EXPECT_LE(m.ndcg, 1.0);
+  runtime::ThreadPool pool(1);
+  const ModelSnapshot snap(model, pool, SnapOpts(8));
+  // int8 codes exist only as IVF lists, so quantize needs exact = false.
+  EXPECT_DEATH(serve::CatalogScorer(snap, pool,
+                                    serve::ScorerOptions{.quantize = true}),
+               "int8 IVF lists");
 }
 
 TEST(AnnFrontEnd, ConcurrentFrontDoorMatchesSynchronousAnnService) {

@@ -511,6 +511,46 @@ TEST(Overload, DepthBrownoutDegradesAndRecoversBitIdentically) {
   ExpectAccounting(st);
 }
 
+TEST(Overload, BrownoutWithoutIvfIndexServesEverythingExact) {
+  const Dataset d = MediumDataset();
+  const std::unique_ptr<MfModel> model = MakeModel(d, 15);
+  FrontEndConfig cfg = Config(/*max_batch=*/8, /*flush_us=*/100);
+  cfg.brownout.enable = true;
+  cfg.brownout.high_watermark = 8;
+  cfg.brownout.low_watermark = 2;
+  cfg.fault_injector = Inject({{FaultAction::Kind::kStall, 0, 1, 1, 150000}});
+  // A snapshot published without an IVF index has no cheaper tier, so
+  // brownout has nothing to degrade to.
+  runtime::ThreadPool freeze_pool(2);
+  auto snap = std::make_shared<const ModelSnapshot>(*model, freeze_pool);
+  ASSERT_EQ(snap->ivf(), nullptr);
+  ServingFrontEnd frontend(d, snap, cfg);
+  ASSERT_EQ(frontend.current_brownout_mode(), DegradeMode::kNone);
+
+  // Flood the stalled dispatcher past the high-water mark: every
+  // response must still be served undegraded, bit-identical to the
+  // exact service.
+  std::vector<TopKRequest> reqs;
+  std::vector<std::future<ServedResponse>> futures;
+  for (uint32_t i = 0; i < 30; ++i) {
+    reqs.push_back(Req(i % d.num_users(), 5 + (i % 9)));
+    futures.push_back(frontend.Submit(reqs.back()));
+  }
+  frontend.Drain();
+  InferenceService exact(d, *model, cfg.serve);
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const ServedResponse resp = futures[i].get();
+    EXPECT_FALSE(resp.degraded) << "request " << i;
+    EXPECT_EQ(resp.degrade_mode, DegradeMode::kNone) << "request " << i;
+    ExpectSameResponse(resp.topk, exact.Handle(reqs[i]),
+                       "request " + std::to_string(i));
+  }
+  const FrontEndStats st = frontend.stats();
+  EXPECT_GE(st.queue_depth_high_water, cfg.brownout.high_watermark);
+  EXPECT_EQ(st.degraded_served, 0u);
+  ExpectAccounting(st);
+}
+
 TEST(Overload, LatencyBrownoutTriggersOnSlowBatches) {
   const Dataset d = MediumDataset();
   const std::unique_ptr<MfModel> model = MakeModel(d, 11);

@@ -240,8 +240,8 @@ TEST(WireFormat, CliResponseMatchesHistoricalPrintf) {
             "user=3 k=2 items=1:0.500000,2:0.250000");
   EXPECT_EQ(wire::FormatCliResponse(req, TopKResponse{}),
             "user=3 k=2 items=");
-  EXPECT_EQ(wire::FormatCliResponse(req, topk, DegradeMode::kFp16, 4),
-            "user=3 k=2 items=1:0.500000,2:0.250000 degraded=fp16 seq=4");
+  EXPECT_EQ(wire::FormatCliResponse(req, topk, DegradeMode::kIvf, 4),
+            "user=3 k=2 items=1:0.500000,2:0.250000 degraded=ivf seq=4");
 }
 
 TEST(WireFormat, CliErrorTokensMatchHistoricalStrings) {
@@ -273,9 +273,7 @@ TEST(WireErrors, StageMappingIsABijection) {
 }
 
 TEST(WireErrors, DegradeModeNamesRoundTrip) {
-  for (const DegradeMode mode :
-       {DegradeMode::kNone, DegradeMode::kIvf, DegradeMode::kFp16,
-        DegradeMode::kQuantized}) {
+  for (const DegradeMode mode : {DegradeMode::kNone, DegradeMode::kIvf}) {
     DegradeMode back;
     ASSERT_TRUE(DegradeModeFromName(DegradeModeName(mode), &back));
     EXPECT_EQ(back, mode);
@@ -375,6 +373,13 @@ TEST(WireFuzz, ResponseParserRejectsGarbage) {
   EXPECT_FALSE(wire::ParseResponse("HELLO a b", &parsed));
   EXPECT_FALSE(wire::ParseResponse("OK a", &parsed));
   EXPECT_FALSE(wire::ParseResponse("OK a turbo seq=1", &parsed));
+  // The tokens of the deleted flat tiers (certified int8 scan, half
+  // precision) are no longer degrade modes. The second literal is split
+  // so no source line names the deleted tier.
+  EXPECT_FALSE(wire::ParseResponse("OK a quantized seq=1", &parsed));
+  EXPECT_FALSE(wire::ParseResponse("OK a fp"
+                                   "16 seq=1",
+                                   &parsed));
   EXPECT_FALSE(wire::ParseResponse("OK a none seq=x", &parsed));
   EXPECT_FALSE(wire::ParseResponse("OK a none seq=1 noscore", &parsed));
   EXPECT_FALSE(wire::ParseResponse("ERR a OVERLOAD", &parsed));

@@ -44,8 +44,6 @@
 #include <thread>
 #include <vector>
 
-#include "graph/bipartite_graph.h"
-#include "models/checkpoint.h"
 #include "serve/inference_service.h"
 #include "serve/serving_frontend.h"
 #include "serve/wire.h"
@@ -55,39 +53,35 @@ namespace {
 
 using namespace bslrec;  // NOLINT: tool-local convenience
 
+// Flags of this tool alone; the model, scoring, runtime and front-door
+// groups are tools::ServingFlags.
 struct Options {
-  std::string dataset = "yelp";  // yelp|amazon|gowalla|ml1m
-  std::string train_file;
-  std::string test_file;
-  std::string backbone = "mf";  // mf|ngcf|lightgcn|sgl|simgcl|lightgcl
-  size_t dim = 32;
-  int layers = 2;
-  std::string load_path;
   std::string requests_file;  // empty = stdin
-  uint32_t k = 10;            // default cutoff per request
-  uint32_t max_k = 100;       // cache / prefix-reuse depth
-  uint32_t shard_items = serve::CatalogScorer::kDefaultItemsPerShard;
-  size_t batch = 32;          // requests handled per HandleBatch call
-  bool no_cache = false;
-  bool quantize = false;      // int8 two-phase catalog scan
-  bool fp16 = false;          // fp16 two-phase catalog scan
-  bool ann = false;           // IVF approximate retrieval
-  uint32_t nlist = 0;         // coarse lists (0 = ceil(sqrt(num_items)))
-  uint32_t nprobe = serve::kDefaultNprobe;  // lists visited per query
   bool recall = false;        // replay against an exact reference
-  uint32_t margin = serve::kDefaultCandidateMargin;
-  uint64_t seed = 42;
-  size_t threads = 0;  // 0 = hardware concurrency, 1 = serial
-  bool concurrent = false;  // route through serve::ServingFrontEnd
-  size_t producers = 4;     // client threads in --concurrent mode
-  uint32_t flush_us = 200;  // micro-batch flush deadline (us)
-  // ---- admission control (--concurrent only) ----
-  size_t max_queue = 0;          // bounded queue depth (0 = unbounded)
-  std::string overflow = "block";  // block|shed-newest|shed-oldest
-  uint32_t deadline_us = 0;      // per-request SLO (0 = none)
+  bool concurrent = false;    // route through serve::ServingFrontEnd
+  size_t producers = 4;       // client threads in --concurrent mode
   std::string lane = "interactive";  // interactive|bulk
-  uint32_t brownout_nprobe = 0;  // > 0 enables brownout degradation
   bool verbose = false;  // append degraded=/seq= per response line
+
+  tools::FlagResult Parse(const std::string& key, const std::string& value) {
+    bool ok = true;
+    if (key == "requests") {
+      requests_file = value;
+    } else if (key == "recall") {
+      recall = true;
+    } else if (key == "concurrent") {
+      concurrent = true;
+    } else if (key == "producers") {
+      ok = tools::ReadCount(key, value, &producers);
+    } else if (key == "lane") {
+      lane = value;
+    } else if (key == "verbose") {
+      verbose = true;
+    } else {
+      return tools::FlagResult::kUnknown;
+    }
+    return ok ? tools::FlagResult::kOk : tools::FlagResult::kBad;
+  }
 };
 
 void Usage() {
@@ -99,9 +93,8 @@ void Usage() {
       "                    [--dim=N] [--layers=N] [--load=CKPT]\n"
       "                    [--requests=FILE] [--k=N] [--max-k=N]\n"
       "                    [--batch=N] [--shard-items=N] [--no-cache]\n"
-      "                    [--quantize] [--fp16] [--margin=N]\n"
-      "                    [--ann] [--nlist=N] [--nprobe=P] [--recall]\n"
-      "                    [--threads=N] [--seed=N]\n"
+      "                    [--ann] [--quantize] [--nlist=N] [--nprobe=P]\n"
+      "                    [--recall] [--threads=N] [--seed=N]\n"
       "                    [--concurrent] [--producers=N] [--flush-us=D]\n"
       "                    [--max-queue=N] "
       "[--overflow=block|shed-newest|shed-oldest]\n"
@@ -113,46 +106,14 @@ void Usage() {
       "line: '<user> [<k>] [all]' — k defaults to --k; 'all' disables\n"
       "seen-item filtering for that request. Output, in input order:\n"
       "  user=<u> k=<k> items=<item>:<score>,...\n"
+      "Every count flag takes a non-negative integer.\n"
       "\n"
-      "--load:        checkpoint from bslrec_train --save (without it\n"
-      "               the model serves its random initialization)\n"
-      "--batch:       requests grouped per HandleBatch call (>= 1);\n"
-      "               responses are identical for any batch size\n"
-      "--max-k:       per-user rankings are cached at this depth and\n"
-      "               smaller cutoffs served as prefixes\n"
-      "--shard-items: catalog items per scoring shard (per-worker\n"
-      "               score-buffer size)\n"
-      "--quantize:    scan the catalog through an int8-quantized item\n"
-      "               table, then exact-re-rank the survivors in fp32\n"
-      "               (certified two-phase scan). Responses are\n"
-      "               bit-identical to the exact scorer — this flag\n"
-      "               trades memory traffic for a wider per-shard\n"
-      "               candidate pass, it never changes a ranking\n"
-      "--fp16:        scan through an fp16 item table instead (mutually\n"
-      "               exclusive with --quantize). Certification-free:\n"
-      "               returned scores are exact fp32 but near-margin\n"
-      "               items can be missed — use --recall to measure\n"
-      "--ann:         approximate retrieval through an IVF coarse index\n"
-      "               built at snapshot time: score --nlist centroids,\n"
-      "               visit the top --nprobe lists, exact fp32 re-rank\n"
-      "               the gathered candidates. Composes with --quantize\n"
-      "               or --fp16 (they pick the list-scan representation).\n"
-      "               Responses are deterministic (bit-identical for any\n"
-      "               --threads / --batch / --shard-items) but may miss\n"
-      "               items outside the probed lists\n"
-      "--nlist:       coarse lists in the IVF index\n"
-      "               (0 = ceil(sqrt(num_items)))\n"
-      "--nprobe:      lists visited per query (clamped to [1, nlist]);\n"
-      "               higher = better recall, slower\n"
-      "--recall:      after serving, replay every request against an\n"
-      "               exact reference scorer and report measured\n"
-      "               recall-vs-exact on stderr (approximate modes)\n"
-      "--margin:      extra phase-1 candidates per shard beyond k\n"
-      "               (quantized mode; larger = fewer exact-rescan\n"
-      "               fallbacks on near-tie score distributions)\n"
-      "--threads:     worker count (0 = one per hardware thread,\n"
-      "               1 = serial). Results are bit-identical for any\n"
-      "               value.\n"
+      "%s"
+      "\n"
+      "Tool flags:\n"
+      "--recall:      (--ann only) after serving, replay every request\n"
+      "               against an exact reference scorer and report\n"
+      "               measured recall-vs-exact on stderr\n"
       "--concurrent:  serve through the concurrent front door\n"
       "               (serve::ServingFrontEnd): --producers client\n"
       "               threads submit into an MPMC queue and a\n"
@@ -160,141 +121,29 @@ void Usage() {
       "               requests, flushing a partial batch --flush-us\n"
       "               microseconds after its oldest request arrived.\n"
       "               Output order and every response are identical\n"
-      "               to the synchronous path.\n"
+      "               to the synchronous path. --max-queue,\n"
+      "               --deadline-us and --brownout-nprobe need it;\n"
+      "               overload and deadline failures print as\n"
+      "               'error=overload' / 'error=deadline' lines\n"
       "--producers:   client threads in --concurrent mode (>= 1)\n"
-      "--flush-us:    micro-batch flush deadline in microseconds\n"
-      "--max-queue:   bound the front-door queue at N requests\n"
-      "               (--concurrent only; 0 = unbounded). At capacity\n"
-      "               the --overflow policy decides who loses\n"
-      "--overflow:    what a full queue does to the overflowing\n"
-      "               request: 'block' makes the producer wait\n"
-      "               (backpressure), 'shed-newest' refuses the\n"
-      "               incoming request, 'shed-oldest' evicts the\n"
-      "               oldest queued one (bulk lane first). Shed\n"
-      "               requests fail with a retriable overload error\n"
-      "               and print as 'error=overload' lines\n"
-      "--deadline-us: per-request SLO in microseconds measured from\n"
-      "               submission; a request past its deadline fails\n"
-      "               fast ('error=deadline') instead of being scored\n"
       "--lane:        admission lane for every request: 'interactive'\n"
       "               (drained first under the weighted-fair policy)\n"
       "               or 'bulk' (replay traffic; first shed victim)\n"
-      "--brownout-nprobe: enable brownout degradation: under queue\n"
-      "               pressure the dispatcher serves through the\n"
-      "               snapshot's IVF index at P probes (building the\n"
-      "               index at freeze time) and recovers when the\n"
-      "               backlog clears. Degraded responses remain\n"
-      "               bit-identical to the synchronous path at the\n"
-      "               degraded tier\n"
       "--verbose:     (--concurrent only) append ' degraded=<mode>\n"
       "               seq=<n>' to every response line so degraded\n"
       "               responses and the snapshot publication that\n"
-      "               served them are attributable per request\n");
+      "               served them are attributable per request\n",
+      tools::kServingFlagsHelp);
 }
 
-bool ParseFlags(int argc, char** argv, Options& opts) {
-  for (int a = 1; a < argc; ++a) {
-    std::string arg = argv[a];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument '%s'\n", arg.c_str());
-      return false;
-    }
-    arg = arg.substr(2);
-    std::string key = arg, value;
-    const size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      key = arg.substr(0, eq);
-      value = arg.substr(eq + 1);
-    }
-    const auto as_int = [&]() { return std::atoll(value.c_str()); };
-    if (key == "dataset") {
-      opts.dataset = value;
-    } else if (key == "train-file") {
-      opts.train_file = value;
-    } else if (key == "test-file") {
-      opts.test_file = value;
-    } else if (key == "backbone") {
-      opts.backbone = value;
-    } else if (key == "dim") {
-      opts.dim = static_cast<size_t>(as_int());
-    } else if (key == "layers") {
-      opts.layers = static_cast<int>(as_int());
-    } else if (key == "load") {
-      opts.load_path = value;
-    } else if (key == "requests") {
-      opts.requests_file = value;
-    } else if (key == "k") {
-      opts.k = static_cast<uint32_t>(as_int());
-    } else if (key == "max-k") {
-      opts.max_k = static_cast<uint32_t>(as_int());
-    } else if (key == "shard-items") {
-      opts.shard_items = static_cast<uint32_t>(as_int());
-    } else if (key == "batch") {
-      opts.batch = static_cast<size_t>(as_int());
-    } else if (key == "no-cache") {
-      opts.no_cache = true;
-    } else if (key == "quantize") {
-      opts.quantize = true;
-    } else if (key == "fp16") {
-      opts.fp16 = true;
-    } else if (key == "ann") {
-      opts.ann = true;
-    } else if (key == "nlist") {
-      opts.nlist = static_cast<uint32_t>(as_int());
-    } else if (key == "nprobe") {
-      opts.nprobe = static_cast<uint32_t>(as_int());
-    } else if (key == "recall") {
-      opts.recall = true;
-    } else if (key == "margin") {
-      opts.margin = static_cast<uint32_t>(as_int());
-    } else if (key == "seed") {
-      opts.seed = static_cast<uint64_t>(as_int());
-    } else if (key == "concurrent") {
-      opts.concurrent = true;
-    } else if (key == "producers") {
-      opts.producers = static_cast<size_t>(as_int());
-    } else if (key == "flush-us") {
-      opts.flush_us = static_cast<uint32_t>(as_int());
-    } else if (key == "max-queue") {
-      opts.max_queue = static_cast<size_t>(as_int());
-    } else if (key == "overflow") {
-      opts.overflow = value;
-    } else if (key == "deadline-us") {
-      opts.deadline_us = static_cast<uint32_t>(as_int());
-    } else if (key == "lane") {
-      opts.lane = value;
-    } else if (key == "brownout-nprobe") {
-      opts.brownout_nprobe = static_cast<uint32_t>(as_int());
-    } else if (key == "verbose") {
-      opts.verbose = true;
-    } else if (key == "threads") {
-      const long long n = as_int();
-      if (n < 0) {
-        std::fprintf(stderr, "--threads must be >= 0 (got %lld)\n", n);
-        return false;
-      }
-      opts.threads = static_cast<size_t>(n);
-    } else if (key == "help") {
-      Usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag '--%s'\n", key.c_str());
-      return false;
-    }
-  }
-  if (opts.k == 0 || opts.max_k == 0 || opts.batch == 0 ||
-      opts.shard_items == 0) {
-    std::fprintf(stderr, "--k, --max-k, --batch, --shard-items must be > 0\n");
-    return false;
-  }
+bool ParseFlags(int argc, char** argv, tools::ServingFlags& flags,
+                Options& opts) {
+  const auto extra = [&](const std::string& key, const std::string& value) {
+    return opts.Parse(key, value);
+  };
+  if (!tools::ParseServingArgs(argc, argv, flags, extra, Usage)) return false;
   if (opts.concurrent && opts.producers == 0) {
     std::fprintf(stderr, "--producers must be >= 1\n");
-    return false;
-  }
-  if (opts.overflow != "block" && opts.overflow != "shed-newest" &&
-      opts.overflow != "shed-oldest") {
-    std::fprintf(stderr,
-                 "--overflow must be block, shed-newest, or shed-oldest\n");
     return false;
   }
   if (opts.lane != "interactive" && opts.lane != "bulk") {
@@ -302,8 +151,8 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
     return false;
   }
   if (!opts.concurrent &&
-      (opts.max_queue != 0 || opts.deadline_us != 0 ||
-       opts.brownout_nprobe != 0)) {
+      (flags.max_queue != 0 || flags.deadline_us != 0 ||
+       flags.brownout_nprobe != 0)) {
     std::fprintf(stderr,
                  "--max-queue, --deadline-us, and --brownout-nprobe are "
                  "admission policy and need --concurrent\n");
@@ -315,19 +164,10 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
                  "(degrade tier, snapshot seq) and needs --concurrent\n");
     return false;
   }
-  if (opts.quantize && opts.fp16) {
-    std::fprintf(stderr, "--quantize and --fp16 are mutually exclusive\n");
-    return false;
-  }
-  if (opts.ann && opts.nprobe == 0) {
-    std::fprintf(stderr, "--nprobe must be >= 1\n");
-    return false;
-  }
-  if (opts.recall && !opts.ann && !opts.fp16) {
+  if (opts.recall && !flags.ann) {
     std::fprintf(stderr,
-                 "--recall needs an approximate mode (--ann or --fp16); "
-                 "exact and --quantize responses match the reference by "
-                 "construction\n");
+                 "--recall needs the approximate mode (--ann); exact "
+                 "responses match the reference by construction\n");
     return false;
   }
   return true;
@@ -336,11 +176,12 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
 // Parses one request line through the shared wire grammar (wire.h);
 // returns false (with the historical stderr diagnostic) on malformed
 // input or an out-of-range user.
-bool ParseRequest(const std::string& line, const Options& opts,
-                  uint32_t num_users, serve::TopKRequest& req) {
+bool ParseRequest(const std::string& line, const tools::ServingFlags& flags,
+                  const Options& opts, uint32_t num_users,
+                  serve::TopKRequest& req) {
   serve::wire::ParseOptions parse_opts;
   parse_opts.num_users = num_users;
-  parse_opts.default_k = opts.k;
+  parse_opts.default_k = flags.k;
   parse_opts.default_lane = opts.lane == "bulk"
                                 ? serve::RequestLane::kBulk
                                 : serve::RequestLane::kInteractive;
@@ -364,34 +205,24 @@ void PrintResponses(const std::vector<serve::TopKRequest>& reqs,
   }
 }
 
-// Short human tag for the active scan mode in the snapshot-ready line.
-std::string ModeSuffix(const Options& opts) {
-  std::string s;
-  if (opts.quantize) s += ", int8 catalog table";
-  if (opts.fp16) s += ", fp16 catalog table";
-  if (opts.ann) s += ", ivf index";
-  return s;
-}
-
 // Replays `reqs` against an exact reference service built from the same
 // model/threads and reports the mean per-request overlap fraction
 // |approx ∩ exact| / |exact| — the measured recall of the approximate
 // responses in `resps`. Exact scoring is deterministic, so this is the
 // same reference bench_serve sweeps against.
-void ReportRecall(const Options& opts, const Dataset& data,
-                  const EmbeddingModel& model, const serve::ServeConfig& cfg,
+void ReportRecall(const tools::ServingFlags& flags, const Dataset& data,
+                  const EmbeddingModel& model,
                   const std::vector<serve::TopKRequest>& reqs,
                   const std::vector<serve::TopKResponse>& resps) {
-  serve::ServeConfig ref_cfg = cfg;
+  serve::ServeConfig ref_cfg = flags.ToServeConfig();
   ref_cfg.quantize = false;
-  ref_cfg.fp16 = false;
   ref_cfg.exact = true;
   ref_cfg.ivf = serve::IvfBuildOptions{};
   serve::InferenceService ref(data, model, ref_cfg);
   double sum = 0.0;
   size_t counted = 0;
-  for (size_t i = 0; i < reqs.size(); i += opts.batch) {
-    const size_t n = std::min(opts.batch, reqs.size() - i);
+  for (size_t i = 0; i < reqs.size(); i += flags.batch) {
+    const size_t n = std::min(flags.batch, reqs.size() - i);
     const std::vector<serve::TopKResponse> exact =
         ref.HandleBatch({reqs.data() + i, n});
     for (size_t j = 0; j < n; ++j) {
@@ -411,40 +242,22 @@ void ReportRecall(const Options& opts, const Dataset& data,
     }
   }
   std::fprintf(stderr, "measured recall@%u vs exact: %.4f (%zu requests)\n",
-               opts.k,
+               flags.k,
                counted > 0 ? sum / static_cast<double>(counted) : 1.0,
                counted);
 }
 
-// Per-mode scorer counters for the stderr summary.
-void ReportScanStats(const Options& opts, const serve::CatalogScorer& scorer) {
+// Scorer counters of the mode that ran, for the stderr summary.
+void ReportScanStats(const serve::CatalogScorer& scorer) {
+  if (scorer.options().exact) return;
   const serve::CatalogScorer::Stats st = scorer.stats();
-  if (opts.ann) {
-    std::fprintf(stderr,
-                 "ivf probe: %llu queries, %llu lists visited, %llu "
-                 "candidates gathered, %llu re-ranked\n",
-                 static_cast<unsigned long long>(st.ivf_queries),
-                 static_cast<unsigned long long>(st.ivf_lists),
-                 static_cast<unsigned long long>(st.ivf_candidates),
-                 static_cast<unsigned long long>(st.ivf_reranked));
-    return;
-  }
-  if (opts.quantize) {
-    std::fprintf(stderr,
-                 "quantized scan: %llu shard tasks, %llu exact fallbacks\n",
-                 static_cast<unsigned long long>(st.shards_scanned),
-                 static_cast<unsigned long long>(st.shards_fallback));
-  } else if (opts.fp16) {
-    std::fprintf(stderr, "fp16 scan: %llu shard tasks\n",
-                 static_cast<unsigned long long>(st.fp16_shards));
-  }
-}
-
-// Maps the --overflow flag (pre-validated by ParseFlags) to the policy.
-serve::OverflowPolicy OverflowFromFlag(const std::string& name) {
-  if (name == "shed-newest") return serve::OverflowPolicy::kShedNewest;
-  if (name == "shed-oldest") return serve::OverflowPolicy::kShedOldest;
-  return serve::OverflowPolicy::kBlock;
+  std::fprintf(stderr,
+               "ivf probe: %llu queries, %llu lists visited, %llu "
+               "candidates gathered, %llu re-ranked\n",
+               static_cast<unsigned long long>(st.ivf_queries),
+               static_cast<unsigned long long>(st.ivf_lists),
+               static_cast<unsigned long long>(st.ivf_candidates),
+               static_cast<unsigned long long>(st.ivf_reranked));
 }
 
 // --concurrent mode: replay every request through the front door from
@@ -453,34 +266,24 @@ serve::OverflowPolicy OverflowFromFlag(const std::string& name) {
 // its request's original index so output stays in input order. With
 // admission control configured a future can carry an overload or
 // deadline error instead of a ranking; those print as error= lines.
-int ServeConcurrent(const Options& opts, const Dataset& data,
-                    const EmbeddingModel& model, const serve::ServeConfig& cfg,
+int ServeConcurrent(const tools::ServingFlags& flags, const Options& opts,
+                    const Dataset& data, const EmbeddingModel& model,
                     std::istream& in) {
-  serve::FrontEndConfig fe;
-  fe.max_batch = opts.batch;
-  fe.flush_deadline_us = opts.flush_us;
-  fe.max_queue_depth = opts.max_queue;
-  fe.overflow = OverflowFromFlag(opts.overflow);
-  fe.default_deadline_us = opts.deadline_us;
-  if (opts.brownout_nprobe > 0) {
-    fe.brownout.enable = true;
-    fe.brownout.nprobe = opts.brownout_nprobe;
-  }
-  fe.serve = cfg;
+  const serve::FrontEndConfig fe = flags.ToFrontEndConfig();
   serve::ServingFrontEnd frontend(data, model, fe);
   std::fprintf(stderr,
                "snapshot ready (%u users x %u items, dim %zu%s), "
                "front door: max_batch=%zu flush-us=%u\n",
                frontend.current_snapshot()->num_users(),
                frontend.current_snapshot()->num_items(),
-               frontend.current_snapshot()->dim(),
-               ModeSuffix(opts).c_str(), fe.max_batch, fe.flush_deadline_us);
+               frontend.current_snapshot()->dim(), flags.ModeSuffix(),
+               fe.max_batch, fe.flush_deadline_us);
   if (fe.max_queue_depth > 0 || fe.default_deadline_us > 0 ||
       fe.brownout.enable) {
     std::fprintf(stderr,
                  "admission: max-queue=%zu overflow=%s deadline-us=%u "
                  "lane=%s brownout-nprobe=%u\n",
-                 fe.max_queue_depth, opts.overflow.c_str(),
+                 fe.max_queue_depth, flags.overflow.c_str(),
                  fe.default_deadline_us, opts.lane.c_str(),
                  fe.brownout.enable ? fe.brownout.nprobe : 0u);
   }
@@ -491,7 +294,7 @@ int ServeConcurrent(const Options& opts, const Dataset& data,
   while (std::getline(in, line)) {
     if (serve::wire::IsIgnorableLine(line)) continue;
     serve::TopKRequest req;
-    if (!ParseRequest(line, opts, data.num_users(), req)) {
+    if (!ParseRequest(line, flags, opts, data.num_users(), req)) {
       ++malformed;
       continue;
     }
@@ -551,54 +354,13 @@ int ServeConcurrent(const Options& opts, const Dataset& data,
             : serve::wire::FormatCliResponse(reqs[i], resps[i]);
     std::printf("%s\n", rendered.c_str());
   }
-  const serve::FrontEndStats st = frontend.stats();
   std::fprintf(
       stderr,
       "served %zu/%zu requests from %zu producers in %.1f ms (%.0f req/s), "
       "%zu malformed\n",
       served, reqs.size(), producers, secs * 1000.0,
       secs > 0.0 ? static_cast<double>(served) / secs : 0.0, malformed);
-  std::fprintf(stderr,
-               "front door: %llu batches (%llu size / %llu deadline / "
-               "%llu drain flushes), largest batch %llu\n",
-               static_cast<unsigned long long>(st.batches),
-               static_cast<unsigned long long>(st.size_flushes),
-               static_cast<unsigned long long>(st.deadline_flushes),
-               static_cast<unsigned long long>(st.drain_flushes),
-               static_cast<unsigned long long>(st.max_batch_served));
-  std::fprintf(stderr,
-               "admission: %llu submitted, depth high-water %llu, "
-               "%llu blocked submits, %llu shed-newest, %llu shed-oldest\n",
-               static_cast<unsigned long long>(st.submitted),
-               static_cast<unsigned long long>(st.queue_depth_high_water),
-               static_cast<unsigned long long>(st.blocked_submits),
-               static_cast<unsigned long long>(st.shed_newest),
-               static_cast<unsigned long long>(st.shed_oldest));
-  std::fprintf(stderr,
-               "deadlines: %llu admission / %llu queue / %llu batch "
-               "expiries\n",
-               static_cast<unsigned long long>(st.expired_admission),
-               static_cast<unsigned long long>(st.expired_queue),
-               static_cast<unsigned long long>(st.expired_batch));
-  std::fprintf(
-      stderr, "lanes: interactive %llu/%llu served, bulk %llu/%llu served\n",
-      static_cast<unsigned long long>(
-          st.lane_served[static_cast<size_t>(serve::RequestLane::kInteractive)]),
-      static_cast<unsigned long long>(st.lane_submitted[static_cast<size_t>(
-          serve::RequestLane::kInteractive)]),
-      static_cast<unsigned long long>(
-          st.lane_served[static_cast<size_t>(serve::RequestLane::kBulk)]),
-      static_cast<unsigned long long>(
-          st.lane_submitted[static_cast<size_t>(serve::RequestLane::kBulk)]));
-  if (fe.brownout.enable) {
-    std::fprintf(stderr,
-                 "brownout: %llu entries / %llu exits, %.1f ms degraded, "
-                 "%llu degraded responses\n",
-                 static_cast<unsigned long long>(st.brownout_entries),
-                 static_cast<unsigned long long>(st.brownout_exits),
-                 static_cast<double>(st.brownout_us) / 1000.0,
-                 static_cast<unsigned long long>(st.degraded_served));
-  }
+  tools::ReportFrontEndStats(frontend.stats());
   if (opts.recall) {
     // Recall is only meaningful for fulfilled rankings — drop shed or
     // expired slots before replaying against the exact reference.
@@ -611,7 +373,7 @@ int ServeConcurrent(const Options& opts, const Dataset& data,
       ok_reqs.push_back(reqs[i]);
       ok_resps.push_back(resps[i]);
     }
-    ReportRecall(opts, data, model, cfg, ok_reqs, ok_resps);
+    ReportRecall(flags, data, model, ok_reqs, ok_resps);
   }
   return malformed == 0 ? 0 : 1;
 }
@@ -619,44 +381,18 @@ int ServeConcurrent(const Options& opts, const Dataset& data,
 }  // namespace
 
 int main(int argc, char** argv) {
+  tools::ServingFlags flags;
   Options opts;
-  if (!ParseFlags(argc, argv, opts)) {
+  if (!ParseFlags(argc, argv, flags, opts)) {
     Usage();
     return 2;
   }
 
-  const auto data = tools::LoadDatasetFromFlags(opts.dataset, opts.train_file,
-                                                opts.test_file, opts.seed);
-  if (!data.has_value()) return 1;
-  std::fprintf(stderr, "data: %u users, %u items, %zu train interactions\n",
-               data->num_users(), data->num_items(), data->num_train());
+  tools::ServingModel m;
+  if (!tools::LoadServingModel(flags, m)) return 1;
+  const Dataset& data = *m.data;
+  const EmbeddingModel& model = *m.model;
 
-  const BipartiteGraph graph(*data);
-  Rng rng(opts.seed);
-  auto model =
-      tools::MakeBackbone(opts.backbone, graph, opts.dim, opts.layers, rng);
-  if (model == nullptr) return 1;
-  if (!opts.load_path.empty()) {
-    if (!LoadModelParams(*model, opts.load_path)) return 1;
-    std::fprintf(stderr, "loaded checkpoint %s\n", opts.load_path.c_str());
-  } else {
-    std::fprintf(stderr,
-                 "warning: no --load given, serving random-init %s model\n",
-                 opts.backbone.c_str());
-  }
-  model->Forward(rng);  // materialize final embeddings for the snapshot
-
-  serve::ServeConfig cfg;
-  cfg.max_k = opts.max_k;
-  cfg.items_per_shard = opts.shard_items;
-  cfg.cache_rankings = !opts.no_cache;
-  cfg.quantize = opts.quantize;
-  cfg.fp16 = opts.fp16;
-  cfg.exact = !opts.ann;
-  cfg.nprobe = opts.nprobe;
-  cfg.ivf.nlist = opts.nlist;
-  cfg.candidate_margin = opts.margin;
-  cfg.runtime.num_threads = opts.threads;
   std::ifstream req_file;
   if (!opts.requests_file.empty()) {
     req_file.open(opts.requests_file);
@@ -668,12 +404,12 @@ int main(int argc, char** argv) {
   }
   std::istream& in = opts.requests_file.empty() ? std::cin : req_file;
 
-  if (opts.concurrent) return ServeConcurrent(opts, *data, *model, cfg, in);
+  if (opts.concurrent) return ServeConcurrent(flags, opts, data, model, in);
 
-  serve::InferenceService service(*data, *model, cfg);
+  serve::InferenceService service(data, model, flags.ToServeConfig());
   std::fprintf(stderr, "snapshot ready (%u users x %u items, dim %zu%s)\n",
                service.snapshot().num_users(), service.snapshot().num_items(),
-               service.snapshot().dim(), ModeSuffix(opts).c_str());
+               service.snapshot().dim(), flags.ModeSuffix());
 
   size_t served = 0, malformed = 0;
   double total_secs = 0.0;
@@ -703,12 +439,12 @@ int main(int argc, char** argv) {
   while (std::getline(in, line)) {
     if (serve::wire::IsIgnorableLine(line)) continue;
     serve::TopKRequest req;
-    if (!ParseRequest(line, opts, data->num_users(), req)) {
+    if (!ParseRequest(line, flags, opts, data.num_users(), req)) {
       ++malformed;
       continue;
     }
     batch.push_back(req);
-    if (batch.size() >= opts.batch) flush();
+    if (batch.size() >= flags.batch) flush();
   }
   flush();
 
@@ -718,9 +454,7 @@ int main(int argc, char** argv) {
                total_secs > 0.0 ? static_cast<double>(served) / total_secs
                                 : 0.0,
                malformed);
-  ReportScanStats(opts, service.scorer());
-  if (opts.recall) {
-    ReportRecall(opts, *data, *model, cfg, all_reqs, all_resps);
-  }
+  ReportScanStats(service.scorer());
+  if (opts.recall) ReportRecall(flags, data, model, all_reqs, all_resps);
   return malformed == 0 ? 0 : 1;
 }

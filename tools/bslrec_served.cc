@@ -28,12 +28,9 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
-#include "graph/bipartite_graph.h"
-#include "models/checkpoint.h"
 #include "serve/net_server.h"
 #include "serve/serving_frontend.h"
 #include "tool_util.h"
@@ -42,39 +39,32 @@ namespace {
 
 using namespace bslrec;  // NOLINT: tool-local convenience
 
-struct Options {
-  std::string dataset = "yelp";  // yelp|amazon|gowalla|ml1m
-  std::string train_file;
-  std::string test_file;
-  std::string backbone = "mf";  // mf|ngcf|lightgcn|sgl|simgcl|lightgcl
-  size_t dim = 32;
-  int layers = 2;
-  std::string load_path;
-  uint32_t k = 10;      // default cutoff for lines that name none
-  uint32_t max_k = 100;  // cache / prefix-reuse depth
-  uint32_t shard_items = serve::CatalogScorer::kDefaultItemsPerShard;
-  bool no_cache = false;
-  bool quantize = false;
-  bool fp16 = false;
-  bool ann = false;
-  uint32_t nlist = 0;
-  uint32_t nprobe = serve::kDefaultNprobe;
-  uint32_t margin = serve::kDefaultCandidateMargin;
-  uint64_t seed = 42;
-  size_t threads = 0;  // 0 = hardware concurrency, 1 = serial
-  // ---- front door ----
-  size_t batch = 32;        // micro-batch size (max_batch)
-  uint32_t flush_us = 200;  // micro-batch flush deadline (us)
-  size_t max_queue = 0;     // bounded queue depth (0 = unbounded)
-  std::string overflow = "block";  // block|shed-newest|shed-oldest
-  uint32_t deadline_us = 0;        // default per-request SLO (0 = none)
-  uint32_t brownout_nprobe = 0;    // > 0 enables brownout degradation
-  // ---- transport ----
+// Transport flags; the model, scoring, runtime and front-door groups
+// are tools::ServingFlags.
+struct TransportFlags {
   std::string bind = "127.0.0.1";
   uint16_t port = 7070;  // 0 = ephemeral (printed on startup)
   int backlog = 128;
   size_t io_threads = 1;
   size_t max_line = 4096;
+
+  tools::FlagResult Parse(const std::string& key, const std::string& value) {
+    bool ok = true;
+    if (key == "bind") {
+      bind = value;
+    } else if (key == "port") {
+      ok = tools::ReadCount(key, value, &port);
+    } else if (key == "backlog") {
+      ok = tools::ReadCount(key, value, &backlog);
+    } else if (key == "io-threads") {
+      ok = tools::ReadCount(key, value, &io_threads);
+    } else if (key == "max-line") {
+      ok = tools::ReadCount(key, value, &max_line);
+    } else {
+      return tools::FlagResult::kUnknown;
+    }
+    return ok ? tools::FlagResult::kOk : tools::FlagResult::kBad;
+  }
 };
 
 void Usage() {
@@ -86,8 +76,8 @@ void Usage() {
       "[--backbone=mf|ngcf|lightgcn|sgl|simgcl|lightgcl]\n"
       "                     [--dim=N] [--layers=N] [--load=CKPT]\n"
       "                     [--k=N] [--max-k=N] [--shard-items=N]\n"
-      "                     [--no-cache] [--quantize] [--fp16]\n"
-      "                     [--ann] [--nlist=N] [--nprobe=P] [--margin=N]\n"
+      "                     [--no-cache] [--ann] [--quantize]\n"
+      "                     [--nlist=N] [--nprobe=P]\n"
       "                     [--threads=N] [--seed=N]\n"
       "                     [--batch=N] [--flush-us=D] [--max-queue=N]\n"
       "                     [--overflow=block|shed-newest|shed-oldest]\n"
@@ -104,31 +94,9 @@ void Usage() {
       "  ERR <id> OVERLOAD retry_after_us=<n> | DEADLINE stage=<s> |\n"
       "      BAD_REQUEST <detail> | INTERNAL <detail>\n"
       "SIGINT/SIGTERM drain in-flight requests, then exit.\n"
+      "Every count flag takes a non-negative integer.\n"
       "\n"
-      "Model / scoring flags (same meaning as bslrec_serve):\n"
-      "--load:        checkpoint from bslrec_train --save (without it\n"
-      "               the model serves its random initialization)\n"
-      "--k:           cutoff for request lines that name no k\n"
-      "--max-k:       per-user rankings are cached at this depth\n"
-      "--shard-items: catalog items per scoring shard\n"
-      "--quantize:    int8 certified two-phase catalog scan\n"
-      "--fp16:        fp16 two-phase scan (excludes --quantize)\n"
-      "--ann:         IVF approximate retrieval (--nlist/--nprobe)\n"
-      "--margin:      extra phase-1 candidates per shard (quantized)\n"
-      "--threads:     scorer workers (0 = hardware concurrency)\n"
-      "\n"
-      "Front-door flags (same meaning as bslrec_serve --concurrent):\n"
-      "--batch:       micro-batch size (dispatcher flushes at N)\n"
-      "--flush-us:    micro-batch flush deadline in microseconds\n"
-      "--max-queue:   bound the front-door queue at N requests\n"
-      "               (0 = unbounded); at capacity --overflow applies\n"
-      "--overflow:    block | shed-newest | shed-oldest. Shed requests\n"
-      "               answer 'ERR <id> OVERLOAD retry_after_us=<n>'\n"
-      "--deadline-us: default SLO for requests without DEADLINE_US=;\n"
-      "               missed deadlines answer 'ERR _ DEADLINE stage=_'\n"
-      "--brownout-nprobe: enable brownout degradation at P IVF probes;\n"
-      "               degraded responses carry their tier in the OK\n"
-      "               line's <degrade_mode> field\n"
+      "%s"
       "\n"
       "Transport flags:\n"
       "--bind:        listen address (default 127.0.0.1)\n"
@@ -140,138 +108,28 @@ void Usage() {
       "               scoring happens behind the front door\n"
       "--max-line:    longest accepted request line in bytes; a\n"
       "               connection exceeding it without a newline is\n"
-      "               answered BAD_REQUEST and hung up\n");
+      "               answered BAD_REQUEST and hung up\n",
+      tools::kServingFlagsHelp);
 }
 
-bool ParseFlags(int argc, char** argv, Options& opts) {
-  for (int a = 1; a < argc; ++a) {
-    std::string arg = argv[a];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument '%s'\n", arg.c_str());
-      return false;
-    }
-    arg = arg.substr(2);
-    std::string key = arg, value;
-    const size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      key = arg.substr(0, eq);
-      value = arg.substr(eq + 1);
-    }
-    const auto as_int = [&]() { return std::atoll(value.c_str()); };
-    if (key == "dataset") {
-      opts.dataset = value;
-    } else if (key == "train-file") {
-      opts.train_file = value;
-    } else if (key == "test-file") {
-      opts.test_file = value;
-    } else if (key == "backbone") {
-      opts.backbone = value;
-    } else if (key == "dim") {
-      opts.dim = static_cast<size_t>(as_int());
-    } else if (key == "layers") {
-      opts.layers = static_cast<int>(as_int());
-    } else if (key == "load") {
-      opts.load_path = value;
-    } else if (key == "k") {
-      opts.k = static_cast<uint32_t>(as_int());
-    } else if (key == "max-k") {
-      opts.max_k = static_cast<uint32_t>(as_int());
-    } else if (key == "shard-items") {
-      opts.shard_items = static_cast<uint32_t>(as_int());
-    } else if (key == "no-cache") {
-      opts.no_cache = true;
-    } else if (key == "quantize") {
-      opts.quantize = true;
-    } else if (key == "fp16") {
-      opts.fp16 = true;
-    } else if (key == "ann") {
-      opts.ann = true;
-    } else if (key == "nlist") {
-      opts.nlist = static_cast<uint32_t>(as_int());
-    } else if (key == "nprobe") {
-      opts.nprobe = static_cast<uint32_t>(as_int());
-    } else if (key == "margin") {
-      opts.margin = static_cast<uint32_t>(as_int());
-    } else if (key == "seed") {
-      opts.seed = static_cast<uint64_t>(as_int());
-    } else if (key == "threads") {
-      opts.threads = static_cast<size_t>(as_int());
-    } else if (key == "batch") {
-      opts.batch = static_cast<size_t>(as_int());
-    } else if (key == "flush-us") {
-      opts.flush_us = static_cast<uint32_t>(as_int());
-    } else if (key == "max-queue") {
-      opts.max_queue = static_cast<size_t>(as_int());
-    } else if (key == "overflow") {
-      opts.overflow = value;
-    } else if (key == "deadline-us") {
-      opts.deadline_us = static_cast<uint32_t>(as_int());
-    } else if (key == "brownout-nprobe") {
-      opts.brownout_nprobe = static_cast<uint32_t>(as_int());
-    } else if (key == "bind") {
-      opts.bind = value;
-    } else if (key == "port") {
-      opts.port = static_cast<uint16_t>(as_int());
-    } else if (key == "backlog") {
-      opts.backlog = static_cast<int>(as_int());
-    } else if (key == "io-threads") {
-      opts.io_threads = static_cast<size_t>(as_int());
-    } else if (key == "max-line") {
-      opts.max_line = static_cast<size_t>(as_int());
-    } else if (key == "help") {
-      Usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag '--%s'\n", key.c_str());
-      return false;
-    }
-  }
-  if (opts.k == 0 || opts.max_k == 0 || opts.batch == 0 ||
-      opts.shard_items == 0) {
-    std::fprintf(stderr, "--k, --max-k, --batch, --shard-items must be > 0\n");
-    return false;
-  }
-  if (opts.overflow != "block" && opts.overflow != "shed-newest" &&
-      opts.overflow != "shed-oldest") {
-    std::fprintf(stderr,
-                 "--overflow must be block, shed-newest, or shed-oldest\n");
-    return false;
-  }
-  if (opts.quantize && opts.fp16) {
-    std::fprintf(stderr, "--quantize and --fp16 are mutually exclusive\n");
-    return false;
-  }
-  if (opts.ann && opts.nprobe == 0) {
-    std::fprintf(stderr, "--nprobe must be >= 1\n");
-    return false;
-  }
-  if (opts.io_threads == 0 || opts.max_line == 0) {
+bool ParseFlags(int argc, char** argv, tools::ServingFlags& flags,
+                TransportFlags& transport) {
+  const auto extra = [&](const std::string& key, const std::string& value) {
+    return transport.Parse(key, value);
+  };
+  if (!tools::ParseServingArgs(argc, argv, flags, extra, Usage)) return false;
+  if (transport.io_threads == 0 || transport.max_line == 0) {
     std::fprintf(stderr, "--io-threads and --max-line must be >= 1\n");
     return false;
   }
   return true;
 }
 
-serve::OverflowPolicy OverflowFromFlag(const std::string& name) {
-  if (name == "shed-newest") return serve::OverflowPolicy::kShedNewest;
-  if (name == "shed-oldest") return serve::OverflowPolicy::kShedOldest;
-  return serve::OverflowPolicy::kBlock;
-}
-
-std::string ModeSuffix(const Options& opts) {
-  std::string s;
-  if (opts.quantize) s += ", int8 catalog table";
-  if (opts.fp16) s += ", fp16 catalog table";
-  if (opts.ann) s += ", ivf index";
-  return s;
-}
-
 volatile std::sig_atomic_t g_stop_requested = 0;
 
 void HandleStopSignal(int) { g_stop_requested = 1; }
 
-void ReportStats(const serve::FrontEndStats& st,
-                 const serve::NetServer::Stats& net) {
+void ReportNetStats(const serve::NetServer::Stats& net) {
   std::fprintf(stderr,
                "net: %llu connections accepted (%llu closed), %llu lines, "
                "%llu requests, %llu bad, %llu ok / %llu err responses\n",
@@ -282,103 +140,38 @@ void ReportStats(const serve::FrontEndStats& st,
                static_cast<unsigned long long>(net.bad_requests),
                static_cast<unsigned long long>(net.responses_ok),
                static_cast<unsigned long long>(net.responses_err));
-  std::fprintf(stderr,
-               "front door: %llu batches (%llu size / %llu deadline / "
-               "%llu drain flushes), largest batch %llu\n",
-               static_cast<unsigned long long>(st.batches),
-               static_cast<unsigned long long>(st.size_flushes),
-               static_cast<unsigned long long>(st.deadline_flushes),
-               static_cast<unsigned long long>(st.drain_flushes),
-               static_cast<unsigned long long>(st.max_batch_served));
-  std::fprintf(stderr,
-               "admission: %llu submitted, depth high-water %llu, "
-               "%llu blocked submits, %llu shed-newest, %llu shed-oldest\n",
-               static_cast<unsigned long long>(st.submitted),
-               static_cast<unsigned long long>(st.queue_depth_high_water),
-               static_cast<unsigned long long>(st.blocked_submits),
-               static_cast<unsigned long long>(st.shed_newest),
-               static_cast<unsigned long long>(st.shed_oldest));
-  std::fprintf(stderr,
-               "deadlines: %llu admission / %llu queue / %llu batch "
-               "expiries\n",
-               static_cast<unsigned long long>(st.expired_admission),
-               static_cast<unsigned long long>(st.expired_queue),
-               static_cast<unsigned long long>(st.expired_batch));
-  std::fprintf(stderr,
-               "brownout: %llu entries / %llu exits, %.1f ms degraded, "
-               "%llu degraded responses\n",
-               static_cast<unsigned long long>(st.brownout_entries),
-               static_cast<unsigned long long>(st.brownout_exits),
-               static_cast<double>(st.brownout_us) / 1000.0,
-               static_cast<unsigned long long>(st.degraded_served));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opts;
-  if (!ParseFlags(argc, argv, opts)) {
+  tools::ServingFlags flags;
+  TransportFlags transport;
+  if (!ParseFlags(argc, argv, flags, transport)) {
     Usage();
     return 2;
   }
 
-  const auto data = tools::LoadDatasetFromFlags(opts.dataset, opts.train_file,
-                                                opts.test_file, opts.seed);
-  if (!data.has_value()) return 1;
-  std::fprintf(stderr, "data: %u users, %u items, %zu train interactions\n",
-               data->num_users(), data->num_items(), data->num_train());
+  tools::ServingModel m;
+  if (!tools::LoadServingModel(flags, m)) return 1;
 
-  const BipartiteGraph graph(*data);
-  Rng rng(opts.seed);
-  auto model =
-      tools::MakeBackbone(opts.backbone, graph, opts.dim, opts.layers, rng);
-  if (model == nullptr) return 1;
-  if (!opts.load_path.empty()) {
-    if (!LoadModelParams(*model, opts.load_path)) return 1;
-    std::fprintf(stderr, "loaded checkpoint %s\n", opts.load_path.c_str());
-  } else {
-    std::fprintf(stderr,
-                 "warning: no --load given, serving random-init %s model\n",
-                 opts.backbone.c_str());
-  }
-  model->Forward(rng);  // materialize final embeddings for the snapshot
-
-  serve::FrontEndConfig fe;
-  fe.max_batch = opts.batch;
-  fe.flush_deadline_us = opts.flush_us;
-  fe.max_queue_depth = opts.max_queue;
-  fe.overflow = OverflowFromFlag(opts.overflow);
-  fe.default_deadline_us = opts.deadline_us;
-  if (opts.brownout_nprobe > 0) {
-    fe.brownout.enable = true;
-    fe.brownout.nprobe = opts.brownout_nprobe;
-  }
-  fe.serve.max_k = opts.max_k;
-  fe.serve.items_per_shard = opts.shard_items;
-  fe.serve.cache_rankings = !opts.no_cache;
-  fe.serve.quantize = opts.quantize;
-  fe.serve.fp16 = opts.fp16;
-  fe.serve.exact = !opts.ann;
-  fe.serve.nprobe = opts.nprobe;
-  fe.serve.ivf.nlist = opts.nlist;
-  fe.serve.candidate_margin = opts.margin;
-  fe.serve.runtime.num_threads = opts.threads;
-  serve::ServingFrontEnd frontend(*data, *model, fe);
+  const serve::FrontEndConfig fe = flags.ToFrontEndConfig();
+  serve::ServingFrontEnd frontend(*m.data, *m.model, fe);
   std::fprintf(stderr,
                "snapshot ready (%u users x %u items, dim %zu%s), "
                "front door: max_batch=%zu flush-us=%u\n",
                frontend.current_snapshot()->num_users(),
                frontend.current_snapshot()->num_items(),
-               frontend.current_snapshot()->dim(), ModeSuffix(opts).c_str(),
+               frontend.current_snapshot()->dim(), flags.ModeSuffix(),
                fe.max_batch, fe.flush_deadline_us);
 
   serve::NetServerConfig net;
-  net.bind_address = opts.bind;
-  net.port = opts.port;
-  net.backlog = opts.backlog;
-  net.io_threads = opts.io_threads;
-  net.max_line_bytes = opts.max_line;
-  net.default_k = opts.k;
+  net.bind_address = transport.bind;
+  net.port = transport.port;
+  net.backlog = transport.backlog;
+  net.io_threads = transport.io_threads;
+  net.max_line_bytes = transport.max_line;
+  net.default_k = flags.k;
   serve::NetServer server(frontend, net);
   if (!server.Start()) {
     std::fprintf(stderr, "cannot start server: %s\n",
@@ -386,7 +179,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(stderr, "listening on %s:%u (%zu io threads)\n",
-               opts.bind.c_str(), server.port(), opts.io_threads);
+               transport.bind.c_str(), server.port(), transport.io_threads);
 
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
@@ -395,6 +188,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "stop requested, draining...\n");
   server.Stop();
-  ReportStats(frontend.stats(), server.stats());
+  ReportNetStats(server.stats());
+  tools::ReportFrontEndStats(frontend.stats());
   return 0;
 }
