@@ -232,10 +232,9 @@ void BM_LogSumExpNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_LogSumExpNaive)->Arg(64)->Arg(4096);
 
-// DotBatch (paired rows, shared query loads) vs the per-row Dot loop it
-// replaced in the trainer's negative-scoring path. Arg is the dim; the
-// block is 64 rows, the default N-.
-void BM_DotBatchBlocked(benchmark::State& state) {
+// DotBatch: one query against a block of 64 rows, the default N- of the
+// trainer's negative scoring. Arg is the dim.
+void BM_DotBatch(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
   constexpr size_t kRows = 64;
   const auto q = GaussianVec(d, 21);
@@ -247,23 +246,48 @@ void BM_DotBatchBlocked(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kRows * d);
 }
-BENCHMARK(BM_DotBatchBlocked)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_DotBatch)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_DotBatchPerRowLoop(benchmark::State& state) {
+// The exact scorer's shard scan: 8 queries (CatalogScorer's largest
+// query block) against a 2048-row shard, too big for L1. DotTile reads
+// each row once for all 8 queries; the per-query loop reads the shard 8
+// times. Both produce the same scores bitwise. Arg is the dim.
+constexpr size_t kTileQueries = 8;
+constexpr size_t kShardRows = 2048;
+
+void BM_DotTileShard(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
-  constexpr size_t kRows = 64;
-  const auto q = GaussianVec(d, 21);
-  const auto rows = GaussianVec(kRows * d, 22);
-  std::vector<float> out(kRows);
+  const auto qs = GaussianVec(kTileQueries * d, 23);
+  const auto rows = GaussianVec(kShardRows * d, 24);
+  const float* q_ptrs[kTileQueries];
+  for (size_t b = 0; b < kTileQueries; ++b) q_ptrs[b] = qs.data() + b * d;
+  std::vector<float> out(kTileQueries * kShardRows);
   for (auto _ : state) {
-    for (size_t r = 0; r < kRows; ++r) {
-      out[r] = vec::Dot(q.data(), rows.data() + r * d, d);
+    vec::DotTile(q_ptrs, kTileQueries, rows.data(), kShardRows, d,
+                 out.data(), kShardRows);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kTileQueries * kShardRows * d);
+}
+BENCHMARK(BM_DotTileShard)->Arg(64)->Arg(128);
+
+void BM_DotBatchPerQueryShard(benchmark::State& state) {
+  const size_t d = static_cast<size_t>(state.range(0));
+  const auto qs = GaussianVec(kTileQueries * d, 23);
+  const auto rows = GaussianVec(kShardRows * d, 24);
+  std::vector<float> out(kTileQueries * kShardRows);
+  for (auto _ : state) {
+    for (size_t b = 0; b < kTileQueries; ++b) {
+      vec::DotBatch(qs.data() + b * d, rows.data(), kShardRows, d,
+                    out.data() + b * kShardRows);
     }
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * kRows * d);
+  state.SetItemsProcessed(state.iterations() * kTileQueries * kShardRows * d);
 }
-BENCHMARK(BM_DotBatchPerRowLoop)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_DotBatchPerQueryShard)->Arg(64)->Arg(128);
 
 // ---- int8 list-scan kernels (IVF with int8 lists) ----
 // SIMD dispatch vs the always-compiled scalar reference (vec::ref), and
@@ -300,7 +324,7 @@ void BM_DotI8Ref(benchmark::State& state) {
 BENCHMARK(BM_DotI8Ref)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
 
 // One list scan: 64 int8 list rows against one quantized query.
-// Compare against BM_DotBatchBlocked at the same dim for the int8 vs
+// Compare against BM_DotBatch at the same dim for the int8 vs
 // fp32 bandwidth story.
 void BM_DotBatchI8(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));

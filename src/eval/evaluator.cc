@@ -11,10 +11,10 @@
 namespace bslrec {
 namespace {
 
-// Users per shard in the parallel per-user loops. Fixed (independent of
-// the worker count) so per-shard outputs reduce deterministically; small
-// enough that ranking-heavy shards still load-balance.
-constexpr size_t kEvalGrain = 8;
+// Test users ranked per CatalogScorer::BatchTopK call. Large enough
+// that every worker gets full query blocks of every item shard, small
+// enough that the scorer's per-(user, worker) top-k heaps stay small.
+constexpr size_t kRankChunk = 256;
 
 }  // namespace
 
@@ -42,50 +42,46 @@ Evaluator::Pass::Pass(const Evaluator& eval, const EmbeddingModel& model)
 
 Evaluator::Pass::Pass(const Evaluator& eval,
                       std::shared_ptr<const serve::ModelSnapshot> snapshot)
-    : eval_(eval),
-      snapshot_(std::move(snapshot)),
-      scratch_(eval.pool_->num_workers(),
-               std::vector<float>(eval.data_.num_items())) {
+    : eval_(eval), snapshot_(std::move(snapshot)) {
   BSLREC_CHECK(snapshot_ != nullptr);
   BSLREC_CHECK_MSG(snapshot_->num_users() == eval_.data_.num_users() &&
                        snapshot_->num_items() == eval_.data_.num_items(),
                    "snapshot shape does not match the evaluator's dataset");
 }
 
-std::vector<uint32_t> Evaluator::Pass::RankUser(uint32_t user, uint32_t k,
-                                                std::vector<float>& scores) {
-  // Candidates exclude the user's train positives entirely: a
+std::vector<std::vector<uint32_t>> Evaluator::Pass::RankUsers(
+    std::span<const uint32_t> users, uint32_t k) const {
+  // Candidates exclude each user's train positives entirely: a
   // recommendation list must never contain already-consumed items.
-  // Scoring, selection and tie-breaking come from the serve core, so
+  // Scoring, selection and tie-breaking are the serve core's, so
   // evaluator rankings and served responses are the same lists by
   // construction.
-  const uint32_t n = snapshot_->num_items();
-  serve::ScoreItemRange(*snapshot_, snapshot_->UserVec(user), 0, n,
-                        scores.data());
-  const std::vector<serve::ScoredItem> top =
-      serve::SelectTopK(scores.data(), 0, n, k, eval_.data_.TrainItems(user));
-  std::vector<uint32_t> items(top.size());
-  for (size_t i = 0; i < top.size(); ++i) items[i] = top[i].item;
-  return items;
-}
-
-std::vector<std::vector<uint32_t>> Evaluator::Pass::ComputeRankings(
-    uint32_t k) {
-  std::vector<std::vector<uint32_t>> rankings(eval_.test_users_.size());
-  runtime::ParallelFor(
-      *eval_.pool_, 0, eval_.test_users_.size(), kEvalGrain,
-      [&](size_t lo, size_t hi, size_t /*shard*/, size_t worker) {
-        for (size_t t = lo; t < hi; ++t) {
-          rankings[t] = RankUser(eval_.test_users_[t], k, scratch_[worker]);
-        }
-      });
+  const serve::CatalogScorer scorer(*snapshot_, *eval_.pool_);
+  std::vector<std::vector<uint32_t>> rankings(users.size());
+  std::vector<serve::ScoreQuery> queries;
+  for (size_t lo = 0; lo < users.size(); lo += kRankChunk) {
+    const size_t hi = std::min(users.size(), lo + kRankChunk);
+    queries.clear();
+    for (size_t t = lo; t < hi; ++t) {
+      queries.push_back({snapshot_->UserVec(users[t]), k,
+                         eval_.data_.TrainItems(users[t])});
+    }
+    const std::vector<std::vector<serve::ScoredItem>> tops =
+        scorer.BatchTopK(queries);
+    for (size_t t = lo; t < hi; ++t) {
+      rankings[t].reserve(tops[t - lo].size());
+      for (const serve::ScoredItem& c : tops[t - lo]) {
+        rankings[t].push_back(c.item);
+      }
+    }
+  }
   return rankings;
 }
 
 const std::vector<std::vector<uint32_t>>&
 Evaluator::Pass::RankingsAtDefaultK() {
   if (!rankings_cached_) {
-    rankings_k_ = ComputeRankings(eval_.k_);
+    rankings_k_ = RankUsers(eval_.test_users_, eval_.k_);
     rankings_cached_ = true;
   }
   return rankings_k_;
@@ -126,7 +122,7 @@ TopKMetrics Evaluator::Pass::EvaluateAtK(uint32_t k) {
   // Cutoffs <= k() are served from the cached top-k() rankings (prefix
   // property); only larger cutoffs need a fresh scoring pass.
   if (k <= eval_.k_) return MetricsOverRankings(RankingsAtDefaultK(), k);
-  return MetricsOverRankings(ComputeRankings(k), k);
+  return MetricsOverRankings(RankUsers(eval_.test_users_, k), k);
 }
 
 std::vector<double> Evaluator::Pass::GroupNdcg(uint32_t num_groups) {
@@ -145,7 +141,7 @@ std::vector<double> Evaluator::Pass::GroupNdcg(uint32_t num_groups) {
 }
 
 std::vector<uint32_t> Evaluator::Pass::TopKForUser(uint32_t user) {
-  return RankUser(user, eval_.k_, scratch_[0]);
+  return RankUsers({&user, 1}, eval_.k_)[0];
 }
 
 std::vector<double> Evaluator::Pass::ItemExposure() {

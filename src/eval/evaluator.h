@@ -6,21 +6,22 @@
 // users. Also provides the popularity-group NDCG decomposition behind the
 // fairness figures and raw top-K lists for analysis.
 //
-// Per-user scoring and ranking fan out across a runtime::ThreadPool.
-// Users are assigned to fixed shards and every per-user result lands in
-// its own output slot before a serial reduction, so all metrics are
-// bit-identical for any worker count (see runtime/thread_pool.h).
+// Per-user scoring and ranking fan out across a runtime::ThreadPool
+// through serve::CatalogScorer's (user block x item shard) tasks, and
+// every per-user ranking lands in its own output slot before a serial
+// reduction, so all metrics are bit-identical for any worker count
+// (see runtime/thread_pool.h and serve/topk_scorer.h).
 //
 // An evaluation *pass* (`BeginPass`) freezes the model's current final
 // embeddings into a read-only `serve::ModelSnapshot` (the same snapshot
-// type the inference service ships to production) and shares it, along
-// with per-worker score buffers, across every query on the pass. The
-// scoring and ranking kernels also come from `serve/` —
-// `ScoreItemRange` and `SelectTopK` — so offline metrics and served
-// responses agree bit-for-bit by construction. The single-shot
-// `Evaluate`/`GroupNdcg`/... wrappers each open a one-query pass;
-// callers issuing several queries against the same model state should
-// hold a pass instead.
+// type the inference service ships to production) and shares it
+// across every query on the pass. Rankings come from `serve/` too —
+// test users are ranked in chunks through the same
+// `CatalogScorer::BatchTopK` that answers served requests — so offline
+// metrics and served responses agree bit-for-bit by construction. The
+// single-shot `Evaluate`/`GroupNdcg`/... wrappers each open a one-query
+// pass; callers issuing several queries against the same model state
+// should hold a pass instead.
 //
 // `BeginPassOn(snapshot)` opens a pass over an *already frozen*
 // snapshot instead of freezing one itself. That is the seam async
@@ -37,6 +38,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "data/dataset.h"
@@ -98,13 +100,11 @@ class Evaluator {
     Pass(const Evaluator& eval,
          std::shared_ptr<const serve::ModelSnapshot> snapshot);
 
-    // Top-k ids for one user (train positives masked); `scores` is a
-    // per-worker buffer with one slot per catalog item.
-    std::vector<uint32_t> RankUser(uint32_t user, uint32_t k,
-                                   std::vector<float>& scores);
-    // Parallel score+rank of every test user at cutoff k.
-    std::vector<std::vector<uint32_t>> ComputeRankings(uint32_t k);
-    // Cached ComputeRankings(k()): Evaluate/GroupNdcg/ItemExposure all
+    // Top-k ids of each user (train positives masked), ranked through
+    // serve::CatalogScorer::BatchTopK in fixed-size user chunks.
+    std::vector<std::vector<uint32_t>> RankUsers(
+        std::span<const uint32_t> users, uint32_t k) const;
+    // Cached RankUsers(test users, k()): Evaluate/GroupNdcg/ItemExposure all
     // consume the same rankings, so the O(users x items x dim) scoring
     // runs once per pass no matter how many queries follow.
     const std::vector<std::vector<uint32_t>>& RankingsAtDefaultK();
@@ -115,7 +115,6 @@ class Evaluator {
     // Normalized tables, frozen once (shared so an in-flight async pass
     // keeps its snapshot alive however long the producer lives).
     std::shared_ptr<const serve::ModelSnapshot> snapshot_;
-    std::vector<std::vector<float>> scratch_;  // one per pool worker
     std::vector<std::vector<uint32_t>> rankings_k_;  // per test user
     bool rankings_cached_ = false;
   };

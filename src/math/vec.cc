@@ -19,15 +19,13 @@
 #endif
 
 // The hot kernels below are written as unrolled/blocked loops with
-// multiple independent accumulators. Two properties are load-bearing:
-//   * Stability: reductions still accumulate in double (the original
-//     contract), so long rows don't lose low-order bits.
-//   * Determinism: the summation tree is a pure function of n — four
-//     fixed accumulator lanes combined in a fixed order — so results
-//     never depend on call context. The multi-threaded trainer and
-//     evaluator rely on this for their bit-identical-results guarantee.
-// The SIMD forms keep the same four double lanes in hardware registers
-// (see the vec.h contract note), so enabling them changes no result.
+// multiple independent accumulators. Determinism is load-bearing: every
+// summation tree is a pure function of n — fixed accumulator lanes
+// combined in a fixed order — so results never depend on call context.
+// The multi-threaded trainer, evaluator and scorer rely on this for
+// their bit-identical-results guarantee. The SIMD forms of `Dot` keep
+// the reference's sixteen fp32 lanes in hardware registers (see the
+// vec.h contract note), so enabling them changes no result.
 
 namespace bslrec::vec {
 
@@ -44,16 +42,18 @@ const char* SimdTier() {
 namespace ref {
 
 float Dot(const float* a, const float* b, size_t n) {
-  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+  float lane[16] = {};
   size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    acc0 += static_cast<double>(a[k + 0]) * b[k + 0];
-    acc1 += static_cast<double>(a[k + 1]) * b[k + 1];
-    acc2 += static_cast<double>(a[k + 2]) * b[k + 2];
-    acc3 += static_cast<double>(a[k + 3]) * b[k + 3];
+  for (; k + 16 <= n; k += 16) {
+    for (size_t j = 0; j < 16; ++j) lane[j] += a[k + j] * b[k + j];
   }
-  for (; k < n; ++k) acc0 += static_cast<double>(a[k]) * b[k];
-  return static_cast<float>((acc0 + acc1) + (acc2 + acc3));
+  float x[4];
+  for (size_t j = 0; j < 4; ++j) {
+    x[j] = (lane[j] + lane[4 + j]) + (lane[8 + j] + lane[12 + j]);
+  }
+  float sum = (x[0] + x[1]) + (x[2] + x[3]);
+  for (; k < n; ++k) sum += a[k] * b[k];
+  return sum;
 }
 
 int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
@@ -133,46 +133,62 @@ inline __m256i MaddI8Block(const int8_t* a, const int8_t* b, __m256i acc) {
 }
 #endif
 
-}  // namespace
-
-float Dot(const float* a, const float* b, size_t n) {
+// The one fp32 dot of the library; Dot, DotBatch and DotTile all
+// inline it, so every score is the same tree whichever entry point
+// computed it.
+inline float DotKernel(const float* a, const float* b, size_t n) {
+#if BSLREC_SIMD_SSE2
+  // Lane j of the reference lives in register j / 4 (SSE2) or j / 8
+  // (AVX2, whose halves are the SSE2 registers), so each packed
+  // mul+add is exactly four or eight of the reference's scalar steps.
+  size_t k = 0;
 #if BSLREC_SIMD_AVX2
-  // Four double lanes in one 256-bit register: lane j holds exactly the
-  // reference's acc_j (float*float widened to double is exact, so the
-  // packed multiply-add performs the same sequence of IEEE double adds).
-  __m256d acc = _mm256_setzero_pd();
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m256d da = _mm256_cvtps_pd(_mm_loadu_ps(a + k));
-    const __m256d db = _mm256_cvtps_pd(_mm_loadu_ps(b + k));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(da, db));
+  __m256 acc_lo = _mm256_setzero_ps();  // lanes 0..7
+  __m256 acc_hi = _mm256_setzero_ps();  // lanes 8..15
+  for (; k + 16 <= n; k += 16) {
+    acc_lo = _mm256_add_ps(
+        acc_lo, _mm256_mul_ps(_mm256_loadu_ps(a + k), _mm256_loadu_ps(b + k)));
+    acc_hi = _mm256_add_ps(acc_hi, _mm256_mul_ps(_mm256_loadu_ps(a + k + 8),
+                                                 _mm256_loadu_ps(b + k + 8)));
   }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  double acc0 = lane[0];
-  for (; k < n; ++k) acc0 += static_cast<double>(a[k]) * b[k];
-  return static_cast<float>((acc0 + lane[1]) + (lane[2] + lane[3]));
-#elif BSLREC_SIMD_SSE2
-  // Same four lanes split across two 128-bit registers.
-  __m128d acc01 = _mm_setzero_pd();
-  __m128d acc23 = _mm_setzero_pd();
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m128 va = _mm_loadu_ps(a + k);
-    const __m128 vb = _mm_loadu_ps(b + k);
-    acc01 = _mm_add_pd(acc01, _mm_mul_pd(_mm_cvtps_pd(va), _mm_cvtps_pd(vb)));
-    acc23 = _mm_add_pd(acc23, _mm_mul_pd(_mm_cvtps_pd(_mm_movehl_ps(va, va)),
-                                         _mm_cvtps_pd(_mm_movehl_ps(vb, vb))));
+  const __m128 acc0 = _mm256_castps256_ps128(acc_lo);
+  const __m128 acc1 = _mm256_extractf128_ps(acc_lo, 1);
+  const __m128 acc2 = _mm256_castps256_ps128(acc_hi);
+  const __m128 acc3 = _mm256_extractf128_ps(acc_hi, 1);
+#else
+  __m128 acc0 = _mm_setzero_ps();  // lanes 0..3
+  __m128 acc1 = _mm_setzero_ps();  // lanes 4..7
+  __m128 acc2 = _mm_setzero_ps();  // lanes 8..11
+  __m128 acc3 = _mm_setzero_ps();  // lanes 12..15
+  for (; k + 16 <= n; k += 16) {
+    acc0 = _mm_add_ps(acc0,
+                      _mm_mul_ps(_mm_loadu_ps(a + k), _mm_loadu_ps(b + k)));
+    acc1 = _mm_add_ps(
+        acc1, _mm_mul_ps(_mm_loadu_ps(a + k + 4), _mm_loadu_ps(b + k + 4)));
+    acc2 = _mm_add_ps(
+        acc2, _mm_mul_ps(_mm_loadu_ps(a + k + 8), _mm_loadu_ps(b + k + 8)));
+    acc3 = _mm_add_ps(
+        acc3, _mm_mul_ps(_mm_loadu_ps(a + k + 12), _mm_loadu_ps(b + k + 12)));
   }
-  alignas(16) double lane01[2], lane23[2];
-  _mm_store_pd(lane01, acc01);
-  _mm_store_pd(lane23, acc23);
-  double acc0 = lane01[0];
-  for (; k < n; ++k) acc0 += static_cast<double>(a[k]) * b[k];
-  return static_cast<float>((acc0 + lane01[1]) + (lane23[0] + lane23[1]));
+#endif
+  // x = (lanes 0..3 + 4..7) + (8..11 + 12..15), then (x0+x1)+(x2+x3):
+  // the shuffle pairs x0 with x1 and x2 with x3 (fp add commutes), and
+  // the high half brings x2+x3 down to lane 0.
+  const __m128 x = _mm_add_ps(_mm_add_ps(acc0, acc1), _mm_add_ps(acc2, acc3));
+  const __m128 pairs =
+      _mm_add_ps(x, _mm_shuffle_ps(x, x, _MM_SHUFFLE(2, 3, 0, 1)));
+  float sum = _mm_cvtss_f32(_mm_add_ss(pairs, _mm_movehl_ps(pairs, pairs)));
+  for (; k < n; ++k) sum += a[k] * b[k];
+  return sum;
 #else
   return ref::Dot(a, b, n);
 #endif
+}
+
+}  // namespace
+
+float Dot(const float* a, const float* b, size_t n) {
+  return DotKernel(a, b, n);
 }
 
 int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
@@ -386,45 +402,17 @@ float SquaredDistance(const float* a, const float* b, size_t n) {
 
 void DotBatch(const float* q, const float* rows, size_t m, size_t d,
               float* out) {
-  // Two regimes, picked by row length (measured on GCC -O3 x86-64):
-  //  * Long rows vectorize best as the plain four-lane Dot loop — the
-  //    autovectorizer handles one row's reduction well, and pairing rows
-  //    only starves it of registers. Delegate per row.
-  //  * Short rows are dominated by loop setup and query reloads; pairing
-  //    two rows amortizes both (~1.2x at d=16).
-  // Either way each row keeps Dot's exact four-lane summation tree, so
-  // out[r] == Dot(q, row r, d) bitwise — callers may mix the kernels.
-  if (d >= 32) {
-    for (size_t r = 0; r < m; ++r) out[r] = Dot(q, rows + r * d, d);
-    return;
-  }
-  size_t r = 0;
-  for (; r + 2 <= m; r += 2) {
-    const float* a = rows + r * d;
-    const float* b = a + d;
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    double b0 = 0.0, b1 = 0.0, b2 = 0.0, b3 = 0.0;
-    size_t k = 0;
-    for (; k + 4 <= d; k += 4) {
-      const double q0 = q[k + 0], q1 = q[k + 1];
-      const double q2 = q[k + 2], q3 = q[k + 3];
-      a0 += q0 * a[k + 0];
-      a1 += q1 * a[k + 1];
-      a2 += q2 * a[k + 2];
-      a3 += q3 * a[k + 3];
-      b0 += q0 * b[k + 0];
-      b1 += q1 * b[k + 1];
-      b2 += q2 * b[k + 2];
-      b3 += q3 * b[k + 3];
+  for (size_t r = 0; r < m; ++r) out[r] = DotKernel(q, rows + r * d, d);
+}
+
+void DotTile(const float* const* queries, size_t nq, const float* rows,
+             size_t m, size_t d, float* out, size_t out_stride) {
+  for (size_t r = 0; r < m; ++r) {
+    const float* row = rows + r * d;
+    for (size_t b = 0; b < nq; ++b) {
+      out[b * out_stride + r] = DotKernel(queries[b], row, d);
     }
-    for (; k < d; ++k) {
-      a0 += static_cast<double>(q[k]) * a[k];
-      b0 += static_cast<double>(q[k]) * b[k];
-    }
-    out[r + 0] = static_cast<float>((a0 + a1) + (a2 + a3));
-    out[r + 1] = static_cast<float>((b0 + b1) + (b2 + b3));
   }
-  for (; r < m; ++r) out[r] = Dot(q, rows + r * d, d);
 }
 
 void GatherNormalize(const float* table, size_t stride, const uint32_t* ids,

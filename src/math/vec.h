@@ -20,14 +20,24 @@
 //     each code is a float multiply (identical IEEE rounding in scalar
 //     and packed form) followed by round-to-nearest-even (the default
 //     rounding mode of both std::nearbyintf and CVTPS2DQ);
-//   * fp32 `Dot` via an *identical summation tree*: the SIMD form keeps
-//     the reference's four double-precision accumulator lanes (lane j
-//     sums elements k+j), combined in the same fixed ((0+1)+(2+3))
-//     order. float*float products are exact in double (24+24 < 53
-//     mantissa bits), so mul+add and fma agree bitwise, too.
+//   * fp32 `Dot` via an *identical summation tree*: sixteen fp32 lanes,
+//     lane j summing a[k+j]*b[k+j] for k stepping by 16; the lanes
+//     combine as x = (l0..3 + l4..7) + (l8..11 + l12..15) (four-wide),
+//     then (x0 + x1) + (x2 + x3); a tail of n % 16 elements is added
+//     after, in order. SSE2 holds the lanes in four 128-bit registers,
+//     AVX2 in two 256-bit ones, the reference in an array — every form
+//     performs the same IEEE float operations in the same order.
 //
-// tests/test_vec.cc enforces all of these contracts; SimdTier() reports
-// which tier a binary was compiled with.
+// FP contraction is pinned off: the root CMakeLists.txt compiles the
+// whole library with -ffp-contract=off, so no build fuses a multiply
+// and an add into an FMA (which rounds once instead of twice) in one
+// form but not another. With it, the same build produces identical
+// bits whichever tier it dispatched to, and every tier produces the
+// same bits as every other — SIMD moves speed, never results.
+//
+// tests/test_vec.cc enforces all of these contracts, including golden
+// `Dot` bits that every tier must reproduce; SimdTier() reports which
+// tier a binary was compiled with.
 #ifndef BSLREC_MATH_VEC_H_
 #define BSLREC_MATH_VEC_H_
 
@@ -52,7 +62,8 @@ void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
 float QuantizeRow(const float* x, size_t n, int8_t* out);
 }  // namespace ref
 
-// Returns sum_i a[i] * b[i].
+// Returns sum_i a[i] * b[i], summed in the fixed sixteen-lane fp32 tree
+// of the contract above.
 float Dot(const float* a, const float* b, size_t n);
 
 // Integer dot product over int8 codes, accumulated in int32 (exact — no
@@ -103,14 +114,17 @@ void Fill(float* x, size_t n, float v);
 float SquaredDistance(const float* a, const float* b, size_t n);
 
 // Batch scoring: out[r] = Dot(q, rows + r*d) for r in [0, m). `rows` is a
-// contiguous m x d block (gathered negatives). Short rows are register-
-// blocked in pairs (query loads amortized across the pair); long rows
-// take the autovectorizer-friendly per-row form. Each row's summation
-// tree is identical to Dot's (four double lanes combined in fixed
-// order), so out[r] == Dot(q, row r, d) bitwise — batch scoring never
-// changes results, only speed.
+// contiguous m x d block (gathered negatives, IVF lists and centroids).
+// Per row it is exactly Dot, so out[r] == Dot(q, row r, d) bitwise.
 void DotBatch(const float* q, const float* rows, size_t m, size_t d,
               float* out);
+
+// Query-blocked batch scoring: out[b * out_stride + r] = Dot(queries[b],
+// rows + r*d) for b in [0, nq), r in [0, m). Each row is scored against
+// all nq queries back to back, so it is read from memory once and stays
+// in L1 for the rest. Every score is bitwise Dot's.
+void DotTile(const float* const* queries, size_t nq, const float* rows,
+             size_t m, size_t d, float* out, size_t out_stride);
 
 // Gathers rows ids[0..m) from `table` (row stride `stride` floats) into
 // the contiguous m x d block `out_rows`, L2-normalizing each row;

@@ -52,7 +52,8 @@ class ModelSnapshot {
   uint32_t num_items() const { return num_items_; }
   size_t dim() const { return dim_; }
 
-  // Unit-norm embedding rows (zero vectors stay zero).
+  // Unit-norm embedding rows (zero vectors stay zero). Each table is
+  // one contiguous row-major block: ItemVec(i) == ItemVec(0) + i * dim().
   const float* UserVec(uint32_t u) const { return user_normed_.Row(u); }
   const float* ItemVec(uint32_t i) const { return item_normed_.Row(i); }
 

@@ -17,23 +17,49 @@ void ScoreItemRange(const ModelSnapshot& snapshot, const float* q_hat,
 
 namespace {
 
-// Fills `cand` with the non-excluded items of the scored block and
-// partially sorts its top-min(k, size) prefix; returns the prefix size.
-size_t SortTopCandidates(const float* scores, uint32_t lo, uint32_t hi,
-                         uint32_t k, std::span<const uint32_t> exclude,
-                         std::vector<ScoredItem>& cand) {
-  cand.clear();
-  cand.reserve(hi - lo);
-  auto ex = exclude.begin();
+// Largest query block of an exact (block, shard) task: 8 query rows of
+// dim 128 are 4 KiB, so a block and the item row being scored stay in
+// L1 together.
+constexpr size_t kMaxQueryBlock = 8;
+
+// Bounded top-k: `heap` keeps the k ScoredBefore-best items offered so
+// far as a max-heap under ScoredBefore, so its front is the worst item
+// kept and an offer costs one comparison unless it beats that item.
+void Offer(std::vector<ScoredItem>& heap, size_t k, ScoredItem c) {
+  if (heap.size() < k) {
+    heap.push_back(c);
+    std::push_heap(heap.begin(), heap.end(), ScoredBefore);
+  } else if (ScoredBefore(c, heap.front())) {
+    std::pop_heap(heap.begin(), heap.end(), ScoredBefore);
+    heap.back() = c;
+    std::push_heap(heap.begin(), heap.end(), ScoredBefore);
+  }
+}
+
+// Offers every non-excluded item of a scored block to `heap`, a bounded
+// top-k heap that may already hold items of other blocks.
+void OfferBlock(const float* scores, uint32_t lo, uint32_t hi, uint32_t k,
+                std::span<const uint32_t> exclude,
+                std::vector<ScoredItem>& heap) {
+  if (k == 0) return;
+  auto ex = std::lower_bound(exclude.begin(), exclude.end(), lo);
   for (uint32_t i = lo; i < hi; ++i) {
+    const ScoredItem c{i, scores[i - lo]};
+    if (heap.size() == k && !ScoredBefore(c, heap.front())) continue;
     while (ex != exclude.end() && *ex < i) ++ex;
     if (ex != exclude.end() && *ex == i) continue;
-    cand.push_back({i, scores[i - lo]});
+    Offer(heap, k, c);
   }
-  const size_t kk = std::min<size_t>(k, cand.size());
-  std::partial_sort(cand.begin(), cand.begin() + kk, cand.end(),
-                    ScoredBefore);
-  return kk;
+}
+
+// Fills `heap` with the top-k non-excluded items of the scored block,
+// sorted by ScoredBefore.
+void SelectTopKHeap(const float* scores, uint32_t lo, uint32_t hi, uint32_t k,
+                    std::span<const uint32_t> exclude,
+                    std::vector<ScoredItem>& heap) {
+  heap.clear();
+  OfferBlock(scores, lo, hi, k, exclude, heap);
+  std::sort_heap(heap.begin(), heap.end(), ScoredBefore);
 }
 
 }  // namespace
@@ -41,25 +67,17 @@ size_t SortTopCandidates(const float* scores, uint32_t lo, uint32_t hi,
 std::vector<ScoredItem> SelectTopK(const float* scores, uint32_t lo,
                                    uint32_t hi, uint32_t k,
                                    std::span<const uint32_t> exclude) {
-  std::vector<ScoredItem> cand;
-  cand.resize(SortTopCandidates(scores, lo, hi, k, exclude, cand));
-  return cand;
-}
-
-std::vector<ScoredItem> SelectTopKWithScratch(
-    const float* scores, uint32_t lo, uint32_t hi, uint32_t k,
-    std::span<const uint32_t> exclude, std::vector<ScoredItem>& scratch) {
-  const size_t kk = SortTopCandidates(scores, lo, hi, k, exclude, scratch);
-  return std::vector<ScoredItem>(scratch.begin(),
-                                 scratch.begin() + static_cast<long>(kk));
+  std::vector<ScoredItem> top;
+  SelectTopKHeap(scores, lo, hi, k, exclude, top);
+  return top;
 }
 
 void SelectTopKInto(const float* scores, uint32_t lo, uint32_t hi, uint32_t k,
                     std::span<const uint32_t> exclude,
                     std::vector<ScoredItem>& scratch,
                     std::vector<ScoredItem>& out) {
-  const size_t kk = SortTopCandidates(scores, lo, hi, k, exclude, scratch);
-  out.assign(scratch.begin(), scratch.begin() + static_cast<long>(kk));
+  SelectTopKHeap(scores, lo, hi, k, exclude, scratch);
+  out.assign(scratch.begin(), scratch.end());
 }
 
 namespace {
@@ -164,18 +182,19 @@ void IvfTopKInto(const ModelSnapshot& snapshot, const float* q_hat,
 }  // namespace
 
 std::vector<ScoredItem> MergeTopK(
-    std::span<const std::vector<ScoredItem>> shard_tops, uint32_t k) {
-  size_t total = 0;
-  for (const std::vector<ScoredItem>& st : shard_tops) total += st.size();
-  std::vector<ScoredItem> all;
-  all.reserve(total);
-  for (const std::vector<ScoredItem>& st : shard_tops) {
-    all.insert(all.end(), st.begin(), st.end());
+    std::span<const std::vector<ScoredItem>> lists, uint32_t k) {
+  std::vector<ScoredItem> heap;
+  if (k == 0) return heap;
+  for (const std::vector<ScoredItem>& list : lists) {
+    for (const ScoredItem& c : list) {
+      // Each list is sorted, so once an item is not kept, none after
+      // it in the same list can be.
+      if (heap.size() == k && !ScoredBefore(c, heap.front())) break;
+      Offer(heap, k, c);
+    }
   }
-  const size_t kk = std::min<size_t>(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + kk, all.end(), ScoredBefore);
-  all.resize(kk);
-  return all;
+  std::sort_heap(heap.begin(), heap.end(), ScoredBefore);
+  return heap;
 }
 
 CatalogScorer::CatalogScorer(const ModelSnapshot& snapshot,
@@ -253,36 +272,74 @@ std::vector<std::vector<ScoredItem>> CatalogScorer::BatchTopK(
   }
   if (num_shards == 0) return out;
 
-  // Flat (query, item-shard) task grid with one per-shard output slot
-  // per task and shard-sized buffers per worker (hoisted into scorer
-  // scratch — steady-state scanning allocates nothing). Each slot is
-  // written by exactly one task, so no synchronization is needed and
-  // the serial per-query merge below is deterministic.
-  shard_tops_.resize(queries.size() * num_shards);
+  // (query block x item shard) task grid. A task scores every item row
+  // of its shard against every query of its block while the row is in
+  // L1 (vec::DotTile), then offers each query's scores to the running
+  // top-k heap its worker keeps for that query across all the shards it
+  // scans, so a worker pays one bounded selection per query instead of
+  // one per shard. Blocks are as large as keeps every worker busy, up
+  // to kMaxQueryBlock.
+  //
+  // Which worker scans which shard varies from run to run, but each
+  // score is the same vec::Dot whatever the block, and a query's answer
+  // is the top-k of the union of its workers' heaps — unique under the
+  // strict (score, id) order whichever way the items were split — so
+  // neither the worker count, the block size nor scheduling ever
+  // changes a result. Buffers live in per-worker scratch and
+  // worker_tops_, so steady-state scanning allocates nothing.
+  const size_t nq = queries.size();
+  const size_t workers = pool_.num_workers();
+  const size_t block =
+      std::clamp<size_t>(nq * num_shards / workers, 1, kMaxQueryBlock);
+  const size_t num_blocks = (nq + block - 1) / block;
+  const size_t d = snapshot_.dim();
+  worker_tops_.resize(nq * workers);
+  for (std::vector<ScoredItem>& top : worker_tops_) top.clear();
   runtime::ParallelFor(
-      pool_, 0, shard_tops_.size(), 1,
+      pool_, 0, num_blocks * num_shards, 1,
       [&](size_t lo, size_t hi, size_t /*shard*/, size_t worker) {
         ShardScratch& ws = scratch_[worker];
         for (size_t t = lo; t < hi; ++t) {
-          const size_t qi = t / num_shards;
-          const ScoreQuery& q = queries[qi];
+          const size_t shard = t % num_shards;
+          const size_t q_lo = (t / num_shards) * block;
+          const size_t q_hi = std::min(nq, q_lo + block);
           const uint32_t item_lo =
-              static_cast<uint32_t>((t % num_shards) * items_per_shard);
+              static_cast<uint32_t>(shard * items_per_shard);
           const uint32_t item_hi =
               std::min<uint32_t>(n, item_lo + items_per_shard);
-          ++ws.exact_shards;
-          ws.scores.resize(items_per_shard);
-          ScoreItemRange(snapshot_, q.q_hat, item_lo, item_hi,
-                         ws.scores.data());
-          SelectTopKInto(ws.scores.data(), item_lo, item_hi, q.k, q.exclude,
-                         ws.cand, shard_tops_[t]);
+          const size_t m = item_hi - item_lo;
+          const float* q_hats[kMaxQueryBlock];
+          for (size_t qi = q_lo; qi < q_hi; ++qi) {
+            q_hats[qi - q_lo] = queries[qi].q_hat;
+          }
+          ws.exact_shards += q_hi - q_lo;
+          ws.scores.resize((q_hi - q_lo) * m);
+          vec::DotTile(q_hats, q_hi - q_lo, snapshot_.ItemVec(item_lo), m, d,
+                       ws.scores.data(), m);
+          for (size_t qi = q_lo; qi < q_hi; ++qi) {
+            OfferBlock(ws.scores.data() + (qi - q_lo) * m, item_lo, item_hi,
+                       queries[qi].k, queries[qi].exclude,
+                       worker_tops_[qi * workers + worker]);
+          }
         }
       });
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    out[qi] = MergeTopK(
-        std::span<const std::vector<ScoredItem>>(
-            shard_tops_.data() + qi * num_shards, num_shards),
-        queries[qi].k);
+  // Per-query merges touch only their own query's heaps and output
+  // slot. They run on the pool when there are several queries and
+  // several shards; with one shard each query has one non-empty heap,
+  // and a pool round trip would cost more than sorting it.
+  const auto merge = [&](size_t qi) {
+    std::vector<ScoredItem>* tops = worker_tops_.data() + qi * workers;
+    for (size_t w = 0; w < workers; ++w) {
+      std::sort_heap(tops[w].begin(), tops[w].end(), ScoredBefore);
+    }
+    out[qi] = MergeTopK({tops, workers}, queries[qi].k);
+  };
+  if (nq > 1 && num_shards > 1) {
+    runtime::ParallelFor(pool_, 0, nq, 1,
+                         [&](size_t lo, size_t /*hi*/, size_t /*shard*/,
+                             size_t /*worker*/) { merge(lo); });
+  } else {
+    for (size_t qi = 0; qi < nq; ++qi) merge(qi);
   }
   return out;
 }

@@ -8,15 +8,26 @@
 //
 // `CatalogScorer` parallelizes one or many queries over a
 // `runtime::ThreadPool` by splitting the catalog into *fixed-grain item
-// shards*: each (query, shard) pair scores only `items_per_shard`
-// items into a per-worker buffer and emits its local top-k into a
-// per-shard output slot; the shards of a query are then reduced
-// serially in shard order. Shard boundaries depend only on the catalog
-// size and the grain — never on the worker count — so results are
-// bit-identical for any `num_threads` (the PR 1 determinism contract,
-// see runtime/thread_pool.h), and a worker never needs a score buffer
-// larger than one shard, so catalogs bigger than any single buffer
-// still serve fine.
+// shards* and the batch into *query blocks*: each (block, shard) task
+// scores its shard's `items_per_shard` items against every query of
+// the block into a per-worker buffer (each item row is read once per
+// block, while it is in L1) and offers each query's scores to a bounded
+// top-k heap that its worker keeps for that query across every shard
+// it scans; a query's worker heaps are then merged. Every score is the
+// same `vec::Dot` whatever the block, and a query's answer is the
+// top-k of the union of all its eligible items — unique under the
+// strict order below, whichever worker scanned which shard — so
+// results are bit-identical for any `num_threads`, block size and
+// schedule (the determinism contract of runtime/thread_pool.h).
+// A worker never needs a score buffer larger than one block of shards,
+// so catalogs bigger than any single buffer still serve fine.
+//
+// This is the one place that departs from thread_pool.h's "one output
+// slot per shard" pattern: the pattern exists to fix the order of
+// floating-point reductions, and top-k selection has none — the result
+// is a set fixed by a total order, not a sum. Keeping one heap per
+// worker instead of one per shard means a worker admits only the items
+// that beat the best k it has seen in *all* its shards so far.
 //
 // Because (score, id) is a strict total order over the catalog, the
 // global top-k is unique and has the *prefix property*: the top-k list
@@ -81,38 +92,35 @@ inline bool ScoredBefore(const ScoredItem& a, const ScoredItem& b) {
 }
 
 // Serial scoring kernel: out[i - lo] = cos(q_hat, item i) for every
-// item in [lo, hi). `q_hat` must be unit-norm with snapshot dim.
+// item in [lo, hi) — bitwise the scores CatalogScorer's exact scan
+// ranks by. `q_hat` must be unit-norm with snapshot dim.
 void ScoreItemRange(const ModelSnapshot& snapshot, const float* q_hat,
                     uint32_t lo, uint32_t hi, float* out);
 
 // Selects the top-k of a scored block: `scores[i - lo]` is item i's
 // score for i in [lo, hi). Ids listed in `exclude` (sorted ascending;
 // entries outside the block are ignored) are skipped. Returns at most
-// k items ordered by ScoredBefore.
+// k items ordered by ScoredBefore. A bounded k-heap keeps the best
+// items seen so far; an item enters only if it beats the worst of
+// them, so a block costs one comparison per item plus O(log k) per
+// admission, with no block-sized copy.
 std::vector<ScoredItem> SelectTopK(const float* scores, uint32_t lo,
                                    uint32_t hi, uint32_t k,
                                    std::span<const uint32_t> exclude);
 
-// As SelectTopK, but builds candidates in caller-owned scratch
-// (cleared on entry, capacity reused) so hot loops avoid a
-// block-sized allocation per call; only the k returned entries are
-// freshly allocated.
-std::vector<ScoredItem> SelectTopKWithScratch(
-    const float* scores, uint32_t lo, uint32_t hi, uint32_t k,
-    std::span<const uint32_t> exclude, std::vector<ScoredItem>& scratch);
-
-// Fully allocation-free form: the result lands in `out` (cleared on
-// entry, capacity reused) instead of a fresh vector.
+// Allocation-free form: the heap lives in caller-owned `scratch` and
+// the result lands in `out` (both cleared on entry, capacity reused).
 void SelectTopKInto(const float* scores, uint32_t lo, uint32_t hi, uint32_t k,
                     std::span<const uint32_t> exclude,
                     std::vector<ScoredItem>& scratch,
                     std::vector<ScoredItem>& out);
 
-// Serial reduction of per-shard top-k candidate lists into the global
-// top-k. The result is the unique ScoredBefore-minimal k-set, so it is
-// independent of how candidates were partitioned into shards.
+// Reduction of top-k candidate lists, each sorted by ScoredBefore (as
+// SelectTopK returns them), into the global top-k. The result is the
+// unique ScoredBefore-minimal k-set, so it is independent of how
+// candidates were partitioned into lists.
 std::vector<ScoredItem> MergeTopK(
-    std::span<const std::vector<ScoredItem>> shard_tops, uint32_t k);
+    std::span<const std::vector<ScoredItem>> lists, uint32_t k);
 
 // One full-catalog top-k query against a snapshot.
 struct ScoreQuery {
@@ -153,11 +161,11 @@ struct ShardScratch {
   std::vector<float> scores;       // fp32 scores (shard / centroid / list)
   std::vector<int32_t> idot;       // one integer dot per int8 list row
   std::vector<ScoredItem> approx;  // eligible ANN candidates
-  std::vector<ScoredItem> cand;    // SelectTopK candidate scratch
+  std::vector<ScoredItem> cand;    // SelectTopKInto heap scratch
   std::vector<ScoredItem> probes;  // top-nprobe centroids (ivf)
   std::vector<int8_t> q_codes;     // int8 query codes (ivf)
   // Per-mode counters (summed into CatalogScorer::Stats):
-  uint64_t exact_shards = 0;       // exact fp32 shard tasks executed
+  uint64_t exact_shards = 0;       // exact fp32 (query, shard) scans
   uint64_t ivf_queries = 0;        // ANN queries answered
   uint64_t ivf_lists = 0;          // coarse lists probed (incl. empty)
   uint64_t ivf_candidates = 0;     // eligible candidates gathered
@@ -166,14 +174,15 @@ struct ShardScratch {
 
 class CatalogScorer {
  public:
-  // Items per scoring shard; the per-worker score buffer is this big.
+  // Items per scoring shard; the per-worker score buffer holds one
+  // shard per query of a block.
   static constexpr uint32_t kDefaultItemsPerShard = 2048;
 
   // Per-mode scan counters, cumulative since construction (or the last
   // ResetStats). Each scoring mode ticks only its own counters, so a
   // scorer's stats identify the path it actually ran.
   struct Stats {
-    uint64_t exact_shards = 0;     // exact fp32 shard tasks
+    uint64_t exact_shards = 0;     // exact fp32 (query, shard) scans
     uint64_t ivf_queries = 0;      // ANN queries answered
     uint64_t ivf_lists = 0;        // coarse lists probed (incl. empty)
     uint64_t ivf_candidates = 0;   // eligible list candidates gathered
@@ -203,10 +212,12 @@ class CatalogScorer {
   // Full-catalog top-k for one query.
   std::vector<ScoredItem> TopK(const ScoreQuery& query) const;
 
-  // Batched queries: parallelizes over the flat (query x item-shard)
+  // Batched queries: parallelizes over the (query block x item-shard)
   // task grid, so a single large query and many small ones saturate
-  // the pool equally well (ANN: one serial task per query). Result i
-  // answers queries[i].
+  // the pool equally well (ANN: one serial task per query). A block
+  // holds clamp(queries x shards / workers, 1, 8) queries, so small
+  // batches over few shards still spread across every worker. Result i
+  // answers queries[i], bit-identically to TopK(queries[i]).
   std::vector<std::vector<ScoredItem>> BatchTopK(
       std::span<const ScoreQuery> queries) const;
 
@@ -220,7 +231,9 @@ class CatalogScorer {
   // scoring is logically const; guarded by the one-call-at-a-time
   // contract above.
   mutable std::vector<ShardScratch> scratch_;        // one per worker
-  mutable std::vector<std::vector<ScoredItem>> shard_tops_;
+  // Running top-k heap of each (query, worker) pair, at
+  // [query * num_workers + worker].
+  mutable std::vector<std::vector<ScoredItem>> worker_tops_;
 };
 
 }  // namespace bslrec::serve

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -113,6 +115,151 @@ TEST(TopKScorer, SelectTopKOrdersAndExcludes) {
   EXPECT_EQ(top[0].item, 2u);  // 0.9, id 1 excluded
   EXPECT_EQ(top[1].item, 3u);  // 0.5
   EXPECT_EQ(top[2].item, 0u);  // 0.1
+}
+
+// The non-excluded items of the scored block [lo, hi), in id order.
+std::vector<ScoredItem> EligibleItems(const float* scores, uint32_t lo,
+                                      uint32_t hi,
+                                      std::span<const uint32_t> exclude) {
+  std::vector<ScoredItem> all;
+  for (uint32_t i = lo; i < hi; ++i) {
+    if (!std::binary_search(exclude.begin(), exclude.end(), i)) {
+      all.push_back({i, scores[i - lo]});
+    }
+  }
+  return all;
+}
+
+void ExpectSameItems(const std::vector<ScoredItem>& got,
+                     const std::vector<ScoredItem>& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].item, want[i].item) << what << " rank " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << what << " rank " << i;
+  }
+}
+
+TEST(TopKScorer, BoundedSelectorMatchesPartialSortOracle) {
+  // Scores drawn from 5 values, so most items tie and the id
+  // tie-break decides; the block starts at a non-zero id; exclusions
+  // sit on both block edges, inside it and outside it on both sides.
+  Rng rng(31);
+  const uint32_t lo = 100, hi = 164;
+  std::vector<float> scores(hi - lo);
+  for (float& x : scores) x = 0.25f * static_cast<float>(rng.NextIndex(5));
+  const std::vector<uint32_t> exclude = {3, 99, 100, 117, 118, 140, 163, 164,
+                                         900};
+  const uint32_t eligible = (hi - lo) - 5;  // 100, 117, 118, 140, 163
+  std::vector<ScoredItem> scratch(7, {1, 1.0f}), out(3, {2, 2.0f});
+  for (uint32_t k : {0u, 1u, 2u, 17u, eligible - 1, eligible, eligible + 1,
+                     1000u}) {
+    std::vector<ScoredItem> want =
+        EligibleItems(scores.data(), lo, hi, exclude);
+    const size_t kk = std::min<size_t>(k, want.size());
+    std::partial_sort(want.begin(), want.begin() + kk, want.end(),
+                      serve::ScoredBefore);
+    want.resize(kk);
+    EXPECT_EQ(want.size(), std::min(k, eligible));
+    const std::string what = "k=" + std::to_string(k);
+    ExpectSameItems(serve::SelectTopK(scores.data(), lo, hi, k, exclude),
+                    want, what);
+    serve::SelectTopKInto(scores.data(), lo, hi, k, exclude, scratch, out);
+    ExpectSameItems(out, want, what + " (Into)");
+    // Splitting the block into sorted lists and merging them back
+    // gives the same k-set.
+    std::vector<std::vector<ScoredItem>> lists;
+    for (uint32_t a = lo; a < hi; a += 23) {
+      const uint32_t b = std::min(hi, a + 23);
+      lists.push_back(
+          serve::SelectTopK(scores.data() + (a - lo), a, b, k, exclude));
+    }
+    ExpectSameItems(serve::MergeTopK(lists, k), want, what + " (merged)");
+  }
+  // All-excluded and empty blocks select nothing.
+  std::vector<uint32_t> every(hi - lo);
+  for (uint32_t i = lo; i < hi; ++i) every[i - lo] = i;
+  EXPECT_TRUE(serve::SelectTopK(scores.data(), lo, hi, 5, every).empty());
+  EXPECT_TRUE(serve::SelectTopK(scores.data(), lo, lo, 5, {}).empty());
+}
+
+// Scorer at dims the 16-lane tree really blocks (40 = two blocks plus a
+// tail of 8, 128 = eight full blocks): BatchTopK of 1..17 queries must
+// equal per-query TopK and a naive oracle (ref::Dot + full sort),
+// bitwise, at every pool size and shard grain — which together change
+// the query block size and the shards each worker scans.
+void CheckScorerAgainstOracle(size_t dim) {
+  const uint32_t num_items = 300;
+  Rng rng(40 + dim);
+  MfModel model(17, num_items, dim, rng);
+  // Every odd item from 37 on repeats item (i % 37)'s embedding, so
+  // scores tie across shards and worker heaps, and the id tie-break
+  // decides between them.
+  Matrix& item_table = *model.Params()[1].value;
+  for (uint32_t i = 37; i < num_items; i += 2) {
+    std::copy(item_table.Row(i % 37), item_table.Row(i % 37) + dim,
+              item_table.Row(i));
+  }
+  model.Forward(rng);
+  runtime::ThreadPool build_pool(2);
+  const ModelSnapshot snap(model, build_pool);
+
+  std::vector<std::vector<uint32_t>> excludes(17);
+  std::vector<serve::ScoreQuery> queries;
+  std::vector<std::vector<ScoredItem>> want;
+  std::vector<float> scores(num_items);
+  for (uint32_t u = 0; u < 17; ++u) {
+    // Shard edges of grain 7 and 64, the catalog edges, and a few
+    // random ids.
+    excludes[u] = {0, 6, 7, 63, 64, num_items - 1};
+    for (int e = 0; e < 4; ++e) {
+      excludes[u].push_back(static_cast<uint32_t>(rng.NextIndex(num_items)));
+    }
+    std::sort(excludes[u].begin(), excludes[u].end());
+    excludes[u].erase(std::unique(excludes[u].begin(), excludes[u].end()),
+                      excludes[u].end());
+    const uint32_t k = u == 16 ? num_items : 1 + (u * 7) % 40;
+    queries.push_back({snap.UserVec(u), k, excludes[u]});
+    for (uint32_t i = 0; i < num_items; ++i) {
+      scores[i] = vec::ref::Dot(snap.UserVec(u), snap.ItemVec(i), dim);
+    }
+    std::vector<ScoredItem> all =
+        EligibleItems(scores.data(), 0, num_items, excludes[u]);
+    std::sort(all.begin(), all.end(), serve::ScoredBefore);
+    all.resize(std::min<size_t>(k, all.size()));
+    want.push_back(std::move(all));
+  }
+
+  for (size_t threads : {1u, 2u, 8u}) {
+    runtime::ThreadPool pool(threads);
+    for (uint32_t grain : {1u, 7u, 64u, 2048u}) {
+      const CatalogScorer scorer(snap, pool, grain);
+      const std::string cfg = "dim " + std::to_string(dim) + ", " +
+                              std::to_string(threads) + " threads, grain " +
+                              std::to_string(grain);
+      for (size_t nq = 1; nq <= queries.size(); ++nq) {
+        const std::vector<std::vector<ScoredItem>> got =
+            scorer.BatchTopK({queries.data(), nq});
+        ASSERT_EQ(got.size(), nq);
+        for (size_t q = 0; q < nq; ++q) {
+          const std::string what = cfg + ", batch " + std::to_string(nq) +
+                                   ", query " + std::to_string(q);
+          ExpectSameItems(got[q], want[q], what);
+          if (nq == queries.size()) {
+            ExpectSameItems(scorer.TopK(queries[q]), want[q], what);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TopKScorer, BatchMatchesPerQueryAndOracleAtDim40) {
+  CheckScorerAgainstOracle(40);
+}
+
+TEST(TopKScorer, BatchMatchesPerQueryAndOracleAtDim128) {
+  CheckScorerAgainstOracle(128);
 }
 
 TEST(TopKScorer, ShardSizeNeverChangesTheResult) {

@@ -1,5 +1,6 @@
 #include "math/vec.h"
 
+#include <bit>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -141,8 +142,8 @@ TEST(Vec, AccumulateCosineGradMatchesFiniteDifference) {
 
 TEST(Vec, DotBatchBitwiseMatchesPerRowDot) {
   // The batch kernel's contract is bit-equality with the single-row
-  // kernel (callers mix the two), across even/odd row counts and
-  // remainder dims that exercise both the paired and tail paths.
+  // kernel (callers mix the two), across row counts and dims below, at
+  // and past the 16-lane block.
   Rng rng(7);
   for (const size_t m : {0u, 1u, 2u, 3u, 7u, 16u}) {
     for (const size_t d : {1u, 3u, 4u, 17u, 48u, 64u}) {
@@ -153,6 +154,36 @@ TEST(Vec, DotBatchBitwiseMatchesPerRowDot) {
       for (size_t r = 0; r < m; ++r) {
         EXPECT_EQ(out[r], vec::Dot(q.data(), rows.data() + r * d, d))
             << "m=" << m << " d=" << d << " row " << r;
+      }
+    }
+  }
+}
+
+TEST(Vec, DotTileBitwiseMatchesPerPairDot) {
+  // Every (query, row) score of a tile is exactly Dot's, whatever the
+  // query count; cells outside the written stride stay untouched.
+  Rng rng(8);
+  for (const size_t nq : {0u, 1u, 2u, 3u, 8u}) {
+    for (const size_t m : {0u, 1u, 5u, 16u}) {
+      for (const size_t d : {1u, 15u, 16u, 40u, 129u}) {
+        std::vector<float> qs(nq * d), rows(m * d);
+        for (auto& v : qs) v = static_cast<float>(rng.NextGaussian());
+        for (auto& v : rows) v = static_cast<float>(rng.NextGaussian());
+        std::vector<const float*> q_ptrs(nq);
+        for (size_t b = 0; b < nq; ++b) q_ptrs[b] = qs.data() + b * d;
+        const size_t stride = m + 2;
+        std::vector<float> out(nq * stride, -7.0f);
+        vec::DotTile(q_ptrs.data(), nq, rows.data(), m, d, out.data(),
+                     stride);
+        for (size_t b = 0; b < nq; ++b) {
+          for (size_t r = 0; r < m; ++r) {
+            EXPECT_EQ(out[b * stride + r],
+                      vec::Dot(q_ptrs[b], rows.data() + r * d, d))
+                << "nq=" << nq << " m=" << m << " d=" << d;
+          }
+          EXPECT_EQ(out[b * stride + m], -7.0f);
+          EXPECT_EQ(out[b * stride + m + 1], -7.0f);
+        }
       }
     }
   }
@@ -194,7 +225,7 @@ TEST(Vec, SimdTierIsKnown) {
   EXPECT_TRUE(tier == "avx2" || tier == "sse2" || tier == "scalar") << tier;
 }
 
-// Length sweep crossing every SIMD block boundary (4-wide fp32 lanes,
+// Length sweep crossing every SIMD block boundary (16-lane fp32 blocks,
 // 8-wide quantize blocks, 16-wide int8 blocks) plus odd tails.
 const size_t kKernelLens[] = {0,  1,  2,  3,  4,   5,   7,   8,   9,  15, 16,
                               17, 24, 31, 32, 33,  48,  63,  64,  65, 100,
@@ -213,6 +244,38 @@ TEST(Vec, DotBitwiseMatchesScalarReference) {
                 vec::ref::Dot(a.data(), b.data(), n))
           << "n=" << n;
     }
+  }
+}
+
+TEST(Vec, DotGoldenBits) {
+  // Hard-coded results of the 16-lane fp32 tree on fixed inputs: every
+  // SIMD tier, and every build (native, sanitized), must print exactly
+  // these bits. The inputs are exact floats drawn from the integer
+  // xoshiro stream, so they do not depend on libm. The three cases
+  // tell the tree apart from a sequential fp32 sum (all of them), from
+  // a double accumulator rounded once (d=129) and from FMA contraction
+  // of the same tree (d=64, d=129).
+  const struct {
+    size_t d;
+    uint32_t bits;
+  } kGolden[] = {{64, 0x408c8af8u}, {128, 0x40a03b74u}, {129, 0x3fde7cc6u}};
+  for (const auto& g : kGolden) {
+    Rng rng(0x5eed0000u + g.d);
+    std::vector<float> a(g.d), b(g.d);
+    for (std::vector<float>* v : {&a, &b}) {
+      for (float& x : *v) {
+        const int32_t code =
+            static_cast<int32_t>(rng.NextU64() >> 40) - (1 << 23);
+        x = static_cast<float>(code) * 0x1p-23f;  // exact, in [-1, 1)
+      }
+    }
+    EXPECT_EQ(std::bit_cast<uint32_t>(vec::Dot(a.data(), b.data(), g.d)),
+              g.bits)
+        << "d=" << g.d << " tier " << vec::SimdTier();
+    EXPECT_EQ(
+        std::bit_cast<uint32_t>(vec::ref::Dot(a.data(), b.data(), g.d)),
+        g.bits)
+        << "d=" << g.d;
   }
 }
 
