@@ -153,10 +153,8 @@ inline MachineTopology QueryMachineTopology() {
 // Opens `path`, writes the opening brace plus the shared "machine"
 // header, and returns the stream (nullptr + stderr diagnostic on
 // failure). The bench then prints its own payload keys and closes the
-// envelope with FinishBenchJson, which appends the determinism-probe
-// verdict under `probe_key`, closes the file, and logs the write. Keys
-// the benches already emitted before this helper existed keep their
-// names ("bit_identical", "metrics_bit_identical") via `probe_key`.
+// envelope with FinishBenchJson, which appends the probe verdict under
+// "bit_identical", closes the file, and logs the write.
 
 inline FILE* BeginBenchJson(const char* path) {
   FILE* out = std::fopen(path, "w");
@@ -178,9 +176,8 @@ inline FILE* BeginBenchJson(const char* path) {
   return out;
 }
 
-inline void FinishBenchJson(FILE* out, const char* path, bool probe_passed,
-                            const char* probe_key = "bit_identical") {
-  std::fprintf(out, "  \"%s\": %s\n", probe_key,
+inline void FinishBenchJson(FILE* out, const char* path, bool probe_passed) {
+  std::fprintf(out, "  \"bit_identical\": %s\n",
                probe_passed ? "true" : "false");
   std::fprintf(out, "}\n");
   std::fclose(out);

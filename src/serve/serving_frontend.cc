@@ -45,10 +45,16 @@ std::exception_ptr MakeDeadlineError(const std::string& what,
 // set_exception on a promise that might already hold a value (e.g. a
 // bad_alloc thrown mid-delivery loop lands in the catch-all after some
 // promises were fulfilled). Losing the redundant error beats dying.
+// The error moves into the promise, whose shared state is released
+// right away, so the caller's future is almost always the last owner of
+// the error: the exception's reference count lives in the
+// (uninstrumented) C++ runtime, and ThreadSanitizer would otherwise
+// report this thread freeing an error the caller has already read.
 void FailPromise(std::promise<ServedResponse>& promise,
-                 const std::exception_ptr& error) {
+                 std::exception_ptr error) {
+  std::promise<ServedResponse> failed = std::move(promise);
   try {
-    promise.set_exception(error);
+    failed.set_exception(std::move(error));
   } catch (const std::future_error&) {
   }
 }
@@ -219,6 +225,10 @@ bool ServingFrontEnd::AdmitLocked(std::unique_lock<std::mutex>& lock,
           ++stats_.blocked_submits;
           counted_block = true;
         }
+        // The queue is full, possibly of this caller's own batch that
+        // no notify has announced yet: wake the dispatcher before
+        // waiting for it to make space.
+        queue_cv_.notify_one();
         const auto space = [&] {
           return shutdown_ || DepthLocked() < config_.max_queue_depth;
         };
@@ -238,20 +248,22 @@ bool ServingFrontEnd::AdmitLocked(std::unique_lock<std::mutex>& lock,
   return true;
 }
 
-void ServingFrontEnd::Enqueue(Pending&& p) {
-  const size_t lane = LaneIndex(p.req.lane);
+void ServingFrontEnd::Enqueue(std::span<Pending> pending) {
   bool enqueued = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
     BSLREC_CHECK_MSG(!shutdown_,
                      "Submit on a ServingFrontEnd being destroyed");
-    ++stats_.submitted;
-    ++stats_.lane_submitted[lane];
-    if (AdmitLocked(lock, p)) {
-      lanes_[lane].push_back(std::move(p));
-      stats_.queue_depth_high_water =
-          std::max<uint64_t>(stats_.queue_depth_high_water, DepthLocked());
-      enqueued = true;
+    for (Pending& p : pending) {
+      const size_t lane = LaneIndex(p.req.lane);
+      ++stats_.submitted;
+      ++stats_.lane_submitted[lane];
+      if (AdmitLocked(lock, p)) {
+        lanes_[lane].push_back(std::move(p));
+        stats_.queue_depth_high_water =
+            std::max<uint64_t>(stats_.queue_depth_high_water, DepthLocked());
+        enqueued = true;
+      }
     }
   }
   if (enqueued) queue_cv_.notify_one();
@@ -261,19 +273,21 @@ std::future<ServedResponse> ServingFrontEnd::Submit(
     const TopKRequest& request) {
   Pending p = MakePending(request);
   std::future<ServedResponse> fut = p.promise.get_future();
-  Enqueue(std::move(p));
+  Enqueue({&p, 1});
   return fut;
 }
 
 std::vector<std::future<ServedResponse>> ServingFrontEnd::SubmitBatch(
     std::span<const TopKRequest> requests) {
+  std::vector<Pending> pending;
   std::vector<std::future<ServedResponse>> futures;
+  pending.reserve(requests.size());
   futures.reserve(requests.size());
-  // Admission applies per request (a kBlock wait can interleave other
-  // producers), so the batch enqueues one at a time, in order.
   for (const TopKRequest& request : requests) {
-    futures.push_back(Submit(request));
+    pending.push_back(MakePending(request));
+    futures.push_back(pending.back().promise.get_future());
   }
+  Enqueue(pending);
   return futures;
 }
 
@@ -301,8 +315,15 @@ uint64_t ServingFrontEnd::PublishSnapshot(
   const uint64_t seq = next_seq_++;
   // Engine construction never drives the pool (ranking_engine.h), so
   // building the new state races nothing the dispatcher is doing.
-  state_.store(std::make_shared<State>(data_, std::move(snapshot), pool_,
-                                       config_, seq));
+  std::shared_ptr<State> state =
+      std::make_shared<State>(data_, std::move(snapshot), pool_, config_, seq);
+  {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    state_.swap(state);
+  }
+  // `state` now holds the previous generation; if no batch still uses
+  // it, it is destroyed here, outside state_mu_.
+  state.reset();
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.snapshots_published;
@@ -310,15 +331,20 @@ uint64_t ServingFrontEnd::PublishSnapshot(
   return seq;
 }
 
-std::shared_ptr<const ModelSnapshot> ServingFrontEnd::current_snapshot()
-    const {
-  return state_.load()->snapshot;
+std::shared_ptr<ServingFrontEnd::State> ServingFrontEnd::LoadState() const {
+  std::lock_guard<std::mutex> lock(state_mu_);
+  return state_;
 }
 
-uint64_t ServingFrontEnd::current_seq() const { return state_.load()->seq; }
+std::shared_ptr<const ModelSnapshot> ServingFrontEnd::current_snapshot()
+    const {
+  return LoadState()->snapshot;
+}
+
+uint64_t ServingFrontEnd::current_seq() const { return LoadState()->seq; }
 
 DegradeMode ServingFrontEnd::current_brownout_mode() const {
-  return state_.load()->brownout_mode;
+  return LoadState()->brownout_mode;
 }
 
 void ServingFrontEnd::Drain() {
@@ -467,7 +493,7 @@ void ServingFrontEnd::DispatchLoop() {
 
 void ServingFrontEnd::ServeBatch(std::vector<Pending>& batch, bool degraded,
                                  const FaultAction& fault) {
-  const std::shared_ptr<State> state = state_.load();
+  const std::shared_ptr<State> state = LoadState();
   const ModelSnapshot& snapshot = *state->snapshot;
 
   // Validate up front so malformed requests fail their own future with

@@ -101,13 +101,15 @@
 //     published. `PublishSnapshot` wraps an immutable snapshot in
 //     fresh `RankingEngine`s (exact + brownout tier when available;
 //     caches are engine-local, so they are keyed per snapshot and can
-//     never mix generations) and publishes them through a single
-//     `std::atomic<std::shared_ptr>` store. Publication never blocks
-//     serving and serving never blocks publication: batches in flight
-//     finish on the shared_ptr they loaded, the next batch loads the
-//     new one. Publications are serialized internally; `snapshot_seq`
-//     in every response names the publication that served it
-//     (monotone from 1).
+//     never mix generations) and publishes them by swapping one
+//     `shared_ptr` under a small mutex. The new state is built before
+//     the lock is taken and the old one is released after it is
+//     dropped, so the lock only ever covers a pointer copy or swap:
+//     publication never waits on scoring and scoring never waits on
+//     engine construction. Batches in flight finish on the shared_ptr
+//     they copied, the next batch copies the new one. Publications are
+//     serialized internally; `snapshot_seq` in every response names the
+//     publication that served it (monotone from 1).
 //
 // Errors
 //   * Malformed requests (user out of range, k == 0, unsorted
@@ -139,7 +141,6 @@
 #ifndef BSLREC_SERVE_SERVING_FRONTEND_H_
 #define BSLREC_SERVE_SERVING_FRONTEND_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -339,7 +340,11 @@ class ServingFrontEnd {
   // until space frees, the request's deadline passes, or shutdown.
   std::future<ServedResponse> Submit(const TopKRequest& request);
   // Enqueues every request in order (admission applies per request);
-  // result i belongs to requests[i].
+  // result i belongs to requests[i]. The requests enter the queue under
+  // one lock hold, so the dispatcher sees them together and batches them
+  // up to max_batch however slowly the caller builds them; only a
+  // kBlock wait for space lets other producers or the dispatcher in
+  // between.
   std::vector<std::future<ServedResponse>> SubmitBatch(
       std::span<const TopKRequest> requests);
 
@@ -415,8 +420,9 @@ class ServingFrontEnd {
   // Builds one pending from a request (deadline resolved, extra_seen
   // copied, submitted stats counted).
   Pending MakePending(const TopKRequest& request);
-  // Enqueues one pending through admission; shared by Submit paths.
-  void Enqueue(Pending&& p);
+  // Enqueues pendings in order through admission under one lock hold;
+  // shared by Submit paths.
+  void Enqueue(std::span<Pending> pending);
   // Pops up to max_batch live requests weighted-fair across the lanes,
   // finalizing expired ones (DeadlineExceededError{kQueue}) inline.
   void FormBatchLocked(std::vector<Pending>& batch);
@@ -433,12 +439,16 @@ class ServingFrontEnd {
   FrontEndConfig config_;
   runtime::ThreadPool pool_;  // driven only by the dispatcher (+ Init)
 
-  // Hot-swap publication point. Producers/publishers store, the
-  // dispatcher loads once per batch. Non-const because the dispatcher
-  // mutates the engines (cache, scorer scratch) — publishers only ever
-  // construct and store.
-  std::atomic<std::shared_ptr<State>> state_;
-  std::mutex publish_mu_;  // serializes seq assignment + store
+  // Copies the published state pointer under state_mu_.
+  std::shared_ptr<State> LoadState() const;
+
+  // Hot-swap publication point. Publishers swap, the dispatcher copies
+  // once per batch; state_mu_ guards only the pointer itself.
+  // Non-const because the dispatcher mutates the engines (cache, scorer
+  // scratch) — publishers only ever construct and swap.
+  mutable std::mutex state_mu_;
+  std::shared_ptr<State> state_;
+  std::mutex publish_mu_;  // serializes seq assignment + swap
   uint64_t next_seq_ = 1;  // guarded by publish_mu_
 
   mutable std::mutex mu_;            // queue + stats + lifecycle

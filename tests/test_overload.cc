@@ -284,6 +284,39 @@ TEST(Overload, BlockBackpressureNeverExceedsDepthAndServesEverything) {
   ExpectAccounting(st);
 }
 
+TEST(Overload, BlockingSubmitBatchLargerThanTheQueueIsServedInFull) {
+  // SubmitBatch admits its requests under one lock hold, so it fills
+  // the queue before any notify; the kBlock wait must wake the idle
+  // dispatcher itself or this call never returns.
+  const Dataset d = MediumDataset();
+  const std::unique_ptr<MfModel> model = MakeModel(d, 7);
+  FrontEndConfig cfg = Config(/*max_batch=*/4, /*flush_us=*/100);
+  cfg.max_queue_depth = 4;
+  cfg.overflow = OverflowPolicy::kBlock;
+  ServingFrontEnd frontend(d, *model, cfg);
+  // Park the dispatcher on its queue wait first: Drain returns only
+  // after the dispatcher has finished this batch and released the lock
+  // by going back to sleep.
+  frontend.HandleSync(Req(0, 5));
+  frontend.Drain();
+
+  std::vector<TopKRequest> reqs;
+  for (uint32_t u = 0; u < 20; ++u) reqs.push_back(Req(u, 5));
+  std::vector<std::future<ServedResponse>> futures =
+      frontend.SubmitBatch(reqs);
+  InferenceService sync(d, *model, Config().serve);
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    ExpectSameResponse(futures[i].get().topk, sync.Handle(reqs[i]),
+                       "request " + std::to_string(i));
+  }
+  frontend.Drain();
+  const FrontEndStats st = frontend.stats();
+  EXPECT_EQ(st.requests, reqs.size() + 1);
+  EXPECT_GE(st.blocked_submits, 1u);
+  EXPECT_LE(st.queue_depth_high_water, 4u);
+  ExpectAccounting(st);
+}
+
 // ---------------------------------------------------------------------------
 // Deadlines, stage by stage.
 

@@ -115,6 +115,34 @@ TEST(PropagationEngine, InlineMatchesPooledBitwise) {
   }
 }
 
+TEST(PropagationEngine, ManyShardMeanPropagateIsThreadCountInvariant) {
+  // Enough rows and work per hop that every worker count runs many row
+  // shards concurrently: a hop that reads rows another shard of the
+  // same hop is writing (e.g. no ping-pong buffer) diverges here.
+  SyntheticConfig c;
+  c.num_users = 1500;
+  c.num_items = 1000;
+  c.avg_items_per_user = 20.0;
+  c.seed = 12;
+  const BipartiteGraph g(GenerateSynthetic(c).dataset);
+  Rng rng(8);
+  Matrix base(g.num_nodes(), 32);
+  base.InitGaussian(rng, 1.0f);
+  const size_t kGrain = 16;
+  graph::PropagationEngine inline_engine(nullptr, kGrain);
+  Matrix ref(g.num_nodes(), 32);
+  inline_engine.MeanPropagate(g.Adjacency(), base, 3, ref);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    runtime::ThreadPool pool(threads);
+    graph::PropagationEngine engine(&pool, kGrain);
+    for (int rep = 0; rep < 3; ++rep) {
+      Matrix out(g.num_nodes(), 32);
+      engine.MeanPropagate(g.Adjacency(), base, 3, out);
+      ExpectBitIdentical(ref, out);
+    }
+  }
+}
+
 TEST(PropagationEngine, MeanPropagateMatchesReferenceBitwise) {
   // Hand-rolled mean-of-powers with the serial SpMM must reproduce the
   // engine's fused kernel exactly.

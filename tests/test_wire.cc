@@ -178,6 +178,41 @@ TEST(WireFormat, OkLineRoundTrips) {
             line);
 }
 
+// Pins the exact bytes "%.6f" gives edge scores, so a faster formatter
+// must reproduce them: the sign of negative zero and of values that
+// round to zero, correct rounding of the exact float value at the sixth
+// digit (0.0000005f and 0.0000025f sit just below the tie, 0.0000015f
+// and 0.1234565f just above), subnormals and large magnitudes.
+TEST(WireFormat, EdgeScoreBytesArePinned) {
+  TopKResponse topk;
+  std::string want = "OK e none seq=1";
+  const auto add = [&](float score, const char* text) {
+    want.append(" ").append(std::to_string(topk.items.size())).append(":");
+    want.append(text);
+    topk.items.push_back(static_cast<uint32_t>(topk.items.size()));
+    topk.scores.push_back(score);
+  };
+  add(-0.0f, "-0.000000");
+  add(1.0f, "1.000000");
+  add(-1.0f, "-1.000000");
+  add(-1e-7f, "-0.000000");
+  add(0.0000005f, "0.000000");
+  add(0.0000015f, "0.000002");
+  add(0.0000025f, "0.000002");
+  add(0.1234565f, "0.123457");
+  add(1e-40f, "0.000000");
+  add(12345.678f, "12345.677734");
+  const std::string line =
+      wire::FormatResponse("e", DegradeMode::kNone, 1, topk);
+  EXPECT_EQ(line, want);
+  // Parsing the line and formatting it again gives the same bytes.
+  wire::ParsedResponse parsed;
+  ASSERT_TRUE(wire::ParseResponse(line, &parsed));
+  EXPECT_EQ(parsed.topk.items, topk.items);
+  EXPECT_EQ(wire::FormatResponse("e", DegradeMode::kNone, 1, parsed.topk),
+            line);
+}
+
 TEST(WireFormat, EmptyRankingOkLine) {
   const std::string line =
       wire::FormatResponse("-", DegradeMode::kNone, 1, TopKResponse{});

@@ -11,7 +11,8 @@
 //                --backbone=lightgcn --loss=SL --in-batch --save=model.ckpt
 //
 // All flags are --key=value (or bare --key for booleans); unknown flags
-// abort with usage.
+// abort with usage. Counts must be non-negative integers: anything else
+// (empty, "-1", "abc") is a usage error with exit 2.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,7 +31,7 @@
 
 namespace {
 
-using bslrec::LossKind;
+using bslrec::tools::ReadCount;
 
 struct Options {
   std::string dataset = "yelp";  // yelp|amazon|gowalla|ml1m
@@ -103,7 +104,7 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
       value = arg.substr(eq + 1);
     }
     const auto as_double = [&]() { return std::atof(value.c_str()); };
-    const auto as_int = [&]() { return std::atoll(value.c_str()); };
+    bool ok = true;
     if (key == "dataset") {
       opts.dataset = value;
     } else if (key == "train-file") {
@@ -123,43 +124,33 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
     } else if (key == "negative-weight") {
       opts.negative_weight = as_double();
     } else if (key == "dim") {
-      opts.dim = static_cast<size_t>(as_int());
+      ok = ReadCount(key, value, &opts.dim);
     } else if (key == "layers") {
-      opts.layers = static_cast<int>(as_int());
+      ok = ReadCount(key, value, &opts.layers);
     } else if (key == "epochs") {
-      opts.epochs = static_cast<int>(as_int());
+      ok = ReadCount(key, value, &opts.epochs);
     } else if (key == "lr") {
       opts.lr = as_double();
     } else if (key == "weight-decay") {
       opts.weight_decay = as_double();
     } else if (key == "negatives") {
-      opts.negatives = static_cast<size_t>(as_int());
+      ok = ReadCount(key, value, &opts.negatives);
     } else if (key == "batch") {
-      opts.batch = static_cast<size_t>(as_int());
+      ok = ReadCount(key, value, &opts.batch);
     } else if (key == "in-batch") {
       opts.in_batch = true;
     } else if (key == "eval-every") {
-      opts.eval_every = static_cast<int>(as_int());
+      ok = ReadCount(key, value, &opts.eval_every);
     } else if (key == "eval-k") {
-      opts.eval_k = static_cast<uint32_t>(as_int());
+      ok = ReadCount(key, value, &opts.eval_k);
     } else if (key == "seed") {
-      opts.seed = static_cast<uint64_t>(as_int());
+      ok = ReadCount(key, value, &opts.seed);
     } else if (key == "threads") {
-      const long long n = as_int();
-      if (n < 0) {
-        std::fprintf(stderr, "--threads must be >= 0 (got %lld)\n", n);
-        return false;
-      }
-      opts.threads = static_cast<size_t>(n);
+      ok = ReadCount(key, value, &opts.threads);
     } else if (key == "async-eval") {
       opts.async_eval = true;
     } else if (key == "eval-threads") {
-      const long long n = as_int();
-      if (n < 0) {
-        std::fprintf(stderr, "--eval-threads must be >= 0 (got %lld)\n", n);
-        return false;
-      }
-      opts.eval_threads = static_cast<size_t>(n);
+      ok = ReadCount(key, value, &opts.eval_threads);
     } else if (key == "save") {
       opts.save_path = value;
     } else if (key == "load") {
@@ -171,6 +162,7 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
       std::fprintf(stderr, "unknown flag '--%s'\n", key.c_str());
       return false;
     }
+    if (!ok) return false;
   }
   return true;
 }
